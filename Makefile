@@ -39,25 +39,27 @@ bench:
 # path's pivots==0 fraction, the dual fallback rate, and bit-equality checks
 # of the dual objective against the ILP optima — to BENCH_solver.json,
 # failing below the 2x work-reduction or 5x dual wall-time floors.
-# bench-solver-short is the single-case CI variant.
+# bench-solver-short is the single-case CI variant; it writes its own
+# BENCH_solver_short.json so CI never overwrites the full-run file.
 bench-solver:
 	$(GO) test -bench 'ILPI$$|ILPII$$|Simplex' -benchtime 2x -run '^$$' .
 	$(GO) run ./cmd/benchsolver -check -o BENCH_solver.json
 
 bench-solver-short:
-	$(GO) run ./cmd/benchsolver -short -check -o BENCH_solver.json
+	$(GO) run ./cmd/benchsolver -short -check -o BENCH_solver_short.json
 
 # End-to-end engine benchmark (pooled steady-state vs allocating path): per
 # method tiles/sec, ns/tile and allocs/op plus the ILP-II worker-scaling
 # curve, written to BENCH_engine.json. Fails below the 5x allocation-
 # reduction floor, below the 5x DualAscent solve-phase ns/tile reduction
 # over ILP-II, or on any pooled-vs-unpooled result divergence.
-# bench-engine-short is the single-case CI variant (no scaling sweep).
+# bench-engine-short is the single-case CI variant (no scaling sweep),
+# written to BENCH_engine_short.json.
 bench-engine:
 	$(GO) run ./cmd/benchengine -check -o BENCH_engine.json
 
 bench-engine-short:
-	$(GO) run ./cmd/benchengine -short -check -o BENCH_engine.json
+	$(GO) run ./cmd/benchengine -short -check -o BENCH_engine_short.json
 
 # Chip-scale dedup benchmark: a synthetic repeating-pattern chip solved with
 # the content-hash tile memo off and on, written to BENCH_chip.json. Fails

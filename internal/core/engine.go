@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -345,7 +344,7 @@ func NewEngine(l *layout.Layout, dis *layout.Dissection, rule layout.FillRule, c
 
 	extractStart := time.Now()
 	extractSpan := cfg.Trace.Start("phase", "extract", 0, prep.ID())
-	tiles, err := scanline.Extract(l, cfg.Layer, dis, occ, cfg.Def)
+	tiles, err := scanline.Extract(l, cfg.Layer, dis, occ, cfg.Def, cfg.Workers)
 	extractSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -424,7 +423,7 @@ func (e *Engine) Instances(budget density.Budget) ([]*Instance, error) {
 			return nil, err
 		}
 	}
-	var out []*Instance
+	out := built[:0]
 	for _, in := range built {
 		if len(in.Columns) > 0 {
 			out = append(out, in)
@@ -714,9 +713,15 @@ func (e *Engine) Run(method Method, instances []*Instance) (*Result, error) {
 // returns an error wrapping ctx.Err(). A partially solved run yields no
 // partial Result.
 func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Instance) (*Result, error) {
+	// Σ F bounds the features placed, so the fill list never regrows.
+	features := 0
+	for _, in := range instances {
+		features += in.F
+	}
 	res := &Result{
 		Method: method,
-		Fill:   &layout.FillSet{Grid: e.Grid, Layer: e.Cfg.Layer},
+		Fill: &layout.FillSet{Grid: e.Grid, Layer: e.Cfg.Layer,
+			Fills: make([]layout.Fill, 0, features)},
 		PerNet: make([]float64, len(e.L.Nets)),
 	}
 	start := time.Now()
@@ -970,28 +975,46 @@ func (e *Engine) accumulatePerNet(perNet []float64, in *Instance, a Assignment) 
 	return nil
 }
 
-// freeRowsCenterOut scans a column's free rows and orders them nearest the
-// gap's vertical center first (index tie-break). This is the placement
+// freeRowsCenterOut appends a column's free rows to dst, nearest the gap's
+// vertical center first (lower row first on ties). This is the placement
 // order of place; buildInstance memoizes it per column so repeated runs over
-// the same instances skip the occupancy scan and sort.
-func (e *Engine) freeRowsCenterOut(cv *ColumnVar) []int {
-	col := cv.Col
-	free := make([]int, 0, col.RowHi-col.RowLo)
-	for r := col.RowLo; r < col.RowHi; r++ {
-		if !e.Occ.Blocked(col.Col, r) {
-			free = append(free, r)
+// the same instances skip the occupancy scan.
+//
+// Site centers are linear in the row, so the distance to the gap center is
+// V-shaped over the rows: it falls to the first row centered at or above
+// the gap center and rises after it. Two cursors walk outward from there,
+// down and up, always taking the nearer free row (the lower on a tie) —
+// exactly the rows sorted by (distance, row).
+func (e *Engine) freeRowsCenterOut(dst []int, col *scanline.Column) []int {
+	center := (col.YLo + col.YHi) / 2
+	dist := func(r int) int64 {
+		return absI64(e.Grid.SiteY(r) + e.Rule.Feature/2 - center)
+	}
+	// split is the first row whose site center is at or above the gap
+	// center: rows below it lie below the center, rows from it on above.
+	split := col.RowLo
+	for split < col.RowHi && e.Grid.SiteY(split)+e.Rule.Feature/2 < center {
+		split++
+	}
+	lo, hi := split-1, split
+	for {
+		for lo >= col.RowLo && e.Occ.Blocked(col.Col, lo) {
+			lo--
+		}
+		for hi < col.RowHi && e.Occ.Blocked(col.Col, hi) {
+			hi++
+		}
+		switch {
+		case lo >= col.RowLo && (hi >= col.RowHi || dist(lo) <= dist(hi)):
+			dst = append(dst, lo)
+			lo--
+		case hi < col.RowHi:
+			dst = append(dst, hi)
+			hi++
+		default:
+			return dst
 		}
 	}
-	center := (col.YLo + col.YHi) / 2
-	sort.Slice(free, func(a, b int) bool {
-		da := absI64(e.Grid.SiteY(free[a]) + e.Rule.Feature/2 - center)
-		db := absI64(e.Grid.SiteY(free[b]) + e.Rule.Feature/2 - center)
-		if da != db {
-			return da < db
-		}
-		return free[a] < free[b]
-	})
-	return free
 }
 
 // place materializes an assignment into fill features: the m features of a
@@ -1011,7 +1034,7 @@ func (e *Engine) place(fs *layout.FillSet, in *Instance, a Assignment, rowBuf *[
 		cv := &in.Columns[k]
 		free := cv.FreeRows
 		if free == nil {
-			free = e.freeRowsCenterOut(cv)
+			free = e.freeRowsCenterOut(nil, cv.Col)
 		}
 		if m > len(free) {
 			return fmt.Errorf("core: column %d assignment %d exceeds %d free sites", k, m, len(free))

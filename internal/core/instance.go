@@ -161,6 +161,12 @@ func (in *Instance) Evaluate(a Assignment) (unweighted, weighted float64, err er
 // is therefore r̂ = Σ_{bounding lines} W_l·sf_l·R_l(x) (Fig 8, line 11),
 // with W_l = 1 in the non-weighted variant and sf_l the switch factor
 // 1 + activity(opposite line's net) when crosstalk-aware costing is on.
+//
+// With the table cache on, an instance costs four allocations whatever its
+// column count: the Instance, Columns sized exactly, one float64 slab that
+// every column's EvalUnweighted and EvalWeighted are carved from, and one
+// int slab for the FreeRows. DeltaC aliases the capacitance table's
+// read-only Deltas.
 func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 	tc := &e.Tiles[i][j]
 	analyses := e.Analyses
@@ -176,15 +182,45 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 		return 1 + e.Cfg.Activity[aggressorNet]
 	}
 
-	in := &Instance{I: i, J: j}
+	// Size the instance: a column with capacity c has c free rows and, when
+	// attributed, two measurement curves of c+1 entries.
+	nCols, nRows, nCurve := 0, 0, 0
 	for k := range tc.Cols {
 		col := &tc.Cols[k]
-		cv := ColumnVar{Col: col, MaxM: col.Capacity, NetLow: -1, NetHigh: -1}
+		if col.Capacity <= 0 {
+			continue
+		}
+		nCols++
+		nRows += col.Capacity
+		if col.HasLow || col.HasHigh {
+			nCurve += col.Capacity + 1
+		}
+	}
+	// One cache lookup per attributed column, through a view that serves a
+	// tile's repeated spacings without touching the shared cache.
+	var tables cap.TableView
+	if e.cache != nil {
+		tables = e.cache.View(proc, rule.Feature, e.Cfg.Grounded)
+		defer tables.Flush()
+	}
+	in := &Instance{I: i, J: j, Columns: make([]ColumnVar, 0, nCols)}
+	curves := make([]float64, 2*nCurve)
+	rows := make([]int, nRows)
+	for k := range tc.Cols {
+		col := &tc.Cols[k]
+		if col.Capacity <= 0 {
+			continue
+		}
+		// Built in place in the zeroed backing array: a ColumnVar is too
+		// large to build and copy per column.
+		in.Columns = in.Columns[:len(in.Columns)+1]
+		cv := &in.Columns[len(in.Columns)-1]
+		cv.Col, cv.MaxM, cv.NetLow, cv.NetHigh = col, col.Capacity, -1, -1
 		if col.HasLow || col.HasHigh {
 			d := col.Spacing()
 			var tbl cap.Table
 			if e.cache != nil {
-				tbl = e.cache.Table(proc, rule.Feature, d, col.Capacity, e.Cfg.Grounded)
+				tbl = tables.Table(d, col.Capacity)
 			} else if e.Cfg.Grounded {
 				tbl = proc.BuildGroundedTable(rule.Feature, d, col.Capacity)
 			} else {
@@ -225,12 +261,13 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 				rhatW += cv.REffHigh * float64(w)
 			}
 			n := cv.MaxM + 1
-			cv.DeltaC = make([]float64, n)
-			cv.EvalUnweighted = make([]float64, n)
-			cv.EvalWeighted = make([]float64, n)
+			// Shared with the table (and, through the cache, with every
+			// column of this spacing and capacity): read-only.
+			cv.DeltaC = tbl.Deltas[:n:n]
+			cv.EvalUnweighted, curves = curves[:n:n], curves[n:]
+			cv.EvalWeighted, curves = curves[:n:n], curves[n:]
 			for m := 1; m < n; m++ {
-				dc := tbl.Delta(m)
-				cv.DeltaC[m] = dc
+				dc := cv.DeltaC[m]
 				cv.EvalUnweighted[m] = rhatU * dc
 				cv.EvalWeighted[m] = rhatW * dc
 			}
@@ -242,10 +279,8 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 				cv.LinearSlope = rhatU * proc.DeltaLinear(1, rule.Feature, d)
 			}
 		}
-		if cv.MaxM > 0 {
-			cv.FreeRows = e.freeRowsCenterOut(&cv)
-			in.Columns = append(in.Columns, cv)
-		}
+		cv.FreeRows = e.freeRowsCenterOut(rows[:0:cv.MaxM], col)
+		rows = rows[cv.MaxM:]
 	}
 	capTotal := in.TotalCapacity()
 	if want > capTotal {

@@ -183,6 +183,10 @@ func Parse(r io.Reader) (*layout.Layout, []FillRect, error) {
 	return ParseWith(r, nil)
 }
 
+// punctSpacer pads punctuation with spaces so unspaced forms like
+// "(100 200)" tokenize; a Replacer is safe for concurrent use.
+var punctSpacer = strings.NewReplacer("(", " ( ", ")", " ) ", ";", " ; ")
+
 // ParseWith reads a DEF whose layer definitions may come from an external
 // source (typically a parsed LEF library). When predefined is non-nil the
 // DEF's inline LAYERS section becomes optional; if both are present the
@@ -196,8 +200,7 @@ func ParseWith(r io.Reader, predefined []layout.Layer) (*layout.Layout, []FillRe
 		if i := strings.Index(line, "#"); i >= 0 {
 			line = line[:i]
 		}
-		// Tolerate unspaced punctuation: "(100 200)" etc.
-		line = strings.NewReplacer("(", " ( ", ")", " ) ", ";", " ; ").Replace(line)
+		line = punctSpacer.Replace(line)
 		toks = append(toks, strings.Fields(line)...)
 	}
 	if err := sc.Err(); err != nil {

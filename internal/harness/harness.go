@@ -380,7 +380,7 @@ func FigSlack(caseName string, w, r int) ([]FigSlackRow, error) {
 	occ := layout.NewOccupancy(l, grid, 0)
 	var out []FigSlackRow
 	for _, def := range []scanline.Def{scanline.DefI, scanline.DefII, scanline.DefIII} {
-		tiles, err := scanline.Extract(l, 0, dis, occ, def)
+		tiles, err := scanline.Extract(l, 0, dis, occ, def, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -19,6 +19,9 @@ package scanline
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"pilfill/internal/geom"
 	"pilfill/internal/layout"
@@ -88,27 +91,36 @@ func (tc *TileColumns) TotalCapacity() int {
 type gap struct {
 	col      int
 	yLo, yHi int64
-	lowIdx   int // index into the sweep's line list, -1 = boundary
+	lowIdx   int // index into the layer's line list, -1 = boundary
 	highIdx  int
 }
 
-// sweep runs the Fig 7 scan over the given horizontal lines within region,
-// producing all vertical gaps per site column. Lines must be sorted by YBot
-// (layout.HLines guarantees this). Line extents are clipped to the region.
-func sweep(lines []layout.HLine, grid *layout.SiteGrid, region geom.Rect) []gap {
-	cLo, cHi := grid.ColRange(region.X1, region.X2)
+// sweep runs the Fig 7 scan over the lines lines[idx[k]] within region,
+// calling emit for every vertical gap of the site columns [cLo, cHi). idx
+// must be ascending, so lines are visited in YBot order (layout.HLines
+// guarantees this). Line extents are clipped to the region. A gap's line
+// indices refer to lines, not idx.
+//
+// Gaps come out line by line (columns ascending within a line), then the
+// gaps closed by the region's top edge in column order. Each column's gaps
+// depend only on the lines covering it, so sweeping a column window with a
+// superset of the lines covering it emits exactly the whole-region sweep's
+// gaps in that window, in the same relative order — what lets Extract
+// sweep tile columns independently.
+func (ws *workspace) sweep(lines []layout.HLine, idx []int, grid *layout.SiteGrid, region geom.Rect, cLo, cHi int, emit func(gap)) {
 	n := cHi - cLo
 	if n <= 0 {
-		return nil
+		return
 	}
-	openStart := make([]int64, n)
-	openLow := make([]int, n)
-	for i := range openStart {
-		openStart[i] = region.Y1
-		openLow[i] = -1
+	openStart := slices.Grow(ws.openStart[:0], n)[:n]
+	openLow := slices.Grow(ws.openLow[:0], n)[:n]
+	ws.openStart, ws.openLow = openStart, openLow
+	for k := range openStart {
+		openStart[k] = region.Y1
+		openLow[k] = -1
 	}
-	var gaps []gap
-	for li, ln := range lines {
+	for _, li := range idx {
+		ln := &lines[li]
 		yBot, yTop := ln.YBot, ln.YTop
 		if yTop <= region.Y1 || yBot >= region.Y2 {
 			continue
@@ -130,10 +142,11 @@ func sweep(lines []layout.HLine, grid *layout.SiteGrid, region geom.Rect) []gap 
 			continue
 		}
 		gLo, gHi := grid.ColRange(x1, x2)
+		gLo, gHi = max(gLo, cLo), min(gHi, cHi)
 		for c := gLo; c < gHi; c++ {
 			k := c - cLo
 			if yBot > openStart[k] {
-				gaps = append(gaps, gap{col: c, yLo: openStart[k], yHi: yBot, lowIdx: openLow[k], highIdx: li})
+				emit(gap{col: c, yLo: openStart[k], yHi: yBot, lowIdx: openLow[k], highIdx: li})
 			}
 			if yTop > openStart[k] {
 				openStart[k] = yTop
@@ -144,10 +157,9 @@ func sweep(lines []layout.HLine, grid *layout.SiteGrid, region geom.Rect) []gap 
 	for c := cLo; c < cHi; c++ {
 		k := c - cLo
 		if region.Y2 > openStart[k] {
-			gaps = append(gaps, gap{col: c, yLo: openStart[k], yHi: region.Y2, lowIdx: openLow[k], highIdx: -1})
+			emit(gap{col: c, yLo: openStart[k], yHi: region.Y2, lowIdx: openLow[k], highIdx: -1})
 		}
 	}
-	return gaps
 }
 
 // fullRows returns the half-open row range of sites whose feature squares
@@ -197,11 +209,16 @@ func clamp(v int64, n int) int {
 // definition. The returned slice is indexed [i][j] like the dissection's
 // tiles. Capacity counts only sites that are free in occ and fully inside
 // both the gap and the tile.
-func Extract(l *layout.Layout, layer int, d *layout.Dissection, occ *layout.Occupancy, def Def) ([][]TileColumns, error) {
+//
+// The sweep fans out over tile columns ("stripes") across workers goroutines
+// and runs twice: the first pass only counts each tile's columns, the second
+// writes them into one arena sized exactly, of which every TileColumns.Cols
+// is a capacity-limited subslice. Every worker count yields the same columns
+// in the same order as a single whole-layout sweep.
+func Extract(l *layout.Layout, layer int, d *layout.Dissection, occ *layout.Occupancy, def Def, workers int) ([][]TileColumns, error) {
 	if def != DefI && def != DefII && def != DefIII {
 		return nil, fmt.Errorf("scanline: unknown definition %d", int(def))
 	}
-	grid := occ.Grid
 	out := make([][]TileColumns, d.NX)
 	for i := range out {
 		out[i] = make([]TileColumns, d.NY)
@@ -209,103 +226,265 @@ func Extract(l *layout.Layout, layer int, d *layout.Dissection, occ *layout.Occu
 			out[i][j] = TileColumns{I: i, J: j, Rect: d.TileRect(i, j)}
 		}
 	}
-	lines := l.HLines(layer)
+	x := newExtractor(l.HLines(layer), d, occ, def, out)
 
-	appendGap := func(tc *TileColumns, g gap, lines []layout.HLine) {
-		// Clip the gap to the tile vertically; capacity comes from sites
-		// fully inside the clipped interval.
-		yLo, yHi := g.yLo, g.yHi
-		if yLo < tc.Rect.Y1 {
-			yLo = tc.Rect.Y1
-		}
-		if yHi > tc.Rect.Y2 {
-			yHi = tc.Rect.Y2
-		}
-		if yLo >= yHi {
-			return
-		}
-		rLo, rHi := fullRows(grid, yLo, yHi)
-		if rLo >= rHi {
-			return
-		}
-		capacity := occ.FreeInColumn(g.col, rLo, rHi)
-		if capacity == 0 {
-			return
-		}
-		col := Column{
-			Col:      g.col,
-			X:        grid.SiteCenterX(g.col),
-			YLo:      g.yLo,
-			YHi:      g.yHi,
-			Capacity: capacity,
-			RowLo:    rLo,
-			RowHi:    rHi,
-		}
-		if g.lowIdx >= 0 {
-			col.HasLow = true
-			col.Low = lines[g.lowIdx].Ref
-		}
-		if g.highIdx >= 0 {
-			col.HasHigh = true
-			col.High = lines[g.highIdx].Ref
-		}
-		tc.Cols = append(tc.Cols, col)
+	counts := make([]int, d.NX*d.NY)
+	fanOut(workers, d.NX, func(ws *workspace, i int) {
+		row := counts[i*d.NY : (i+1)*d.NY]
+		x.stripe(ws, i, func(j int, _ gap, _ rows) { row[j]++ })
+	})
+	total := 0
+	for _, n := range counts {
+		total += n
 	}
+	arena := make([]Column, total)
+	off := 0
+	for k, n := range counts {
+		if n > 0 {
+			out[k/d.NY][k%d.NY].Cols = arena[off : off+n : off+n]
+		}
+		counts[k] = off // now the tile's write cursor into the arena
+		off += n
+	}
+	fanOut(workers, d.NX, func(ws *workspace, i int) {
+		next := counts[i*d.NY : (i+1)*d.NY]
+		x.stripe(ws, i, func(j int, g gap, r rows) {
+			x.write(&arena[next[j]], g, r)
+			next[j]++
+		})
+	})
+	return out, nil
+}
 
-	switch def {
-	case DefIII:
-		gaps := sweep(lines, grid, d.Die)
-		for _, g := range gaps {
-			// A gap's sites live in one tile column (the tile containing the
-			// site centers) but the gap may span several tiles vertically;
-			// clip it into each.
-			xc := grid.SiteX(g.col) + grid.Rule.Feature/2
-			iTile, _ := d.TileIndex(xc, d.Die.Y1)
+// extractor holds one Extract call's read-only inputs and the per-stripe
+// line buckets shared by both passes.
+type extractor struct {
+	lines []layout.HLine
+	d     *layout.Dissection
+	grid  *layout.SiteGrid
+	occ   *layout.Occupancy
+	def   Def
+	out   [][]TileColumns // for the tile rectangles
+
+	// stripeLines lists, per tile column, the ascending indices of the
+	// lines that can bound a gap there (see newExtractor).
+	stripeLines buckets
+	// colStart[i] is the first site column whose site centers lie in tile
+	// column i (DefIII; colStart[NX] ends the last stripe).
+	colStart []int
+}
+
+// newExtractor buckets the lines by tile column. DefIII assigns a site
+// column to the tile column holding its site centers, so a stripe needs the
+// lines covering any of its site columns. DefI and DefII sweep each tile
+// over the lines overlapping it, so a stripe needs the lines overlapping
+// any of its tiles.
+func newExtractor(lines []layout.HLine, d *layout.Dissection, occ *layout.Occupancy, def Def, out [][]TileColumns) *extractor {
+	x := &extractor{lines: lines, d: d, grid: occ.Grid, occ: occ, def: def, out: out}
+	die := d.Die
+	if def == DefIII {
+		cLo, cHi := x.grid.ColRange(die.X1, die.X2)
+		stripeOf := make([]int, cHi-cLo)
+		x.colStart = make([]int, d.NX+1)
+		for k := range x.colStart {
+			x.colStart[k] = cHi
+		}
+		for c := cHi - 1; c >= cLo; c-- {
+			i, _ := d.TileIndex(x.grid.SiteCenterX(c), die.Y1)
+			stripeOf[c-cLo] = i
+			x.colStart[i] = c
+		}
+		for i := d.NX - 1; i >= 0; i-- {
+			x.colStart[i] = min(x.colStart[i], x.colStart[i+1])
+		}
+		x.stripeLines.build(d.NX, len(lines), func(li int) (int, int) {
+			ln := &lines[li]
+			if ln.YTop <= die.Y1 || ln.YBot >= die.Y2 {
+				return 0, 0
+			}
+			gLo, gHi := x.grid.ColRange(max(ln.X1, die.X1), min(ln.X2, die.X2))
+			if gLo >= gHi {
+				return 0, 0
+			}
+			return stripeOf[gLo-cLo], stripeOf[gHi-1-cLo] + 1
+		})
+		return x
+	}
+	x.stripeLines.build(d.NX, len(lines), func(li int) (int, int) {
+		iLo, iHi, _, _ := x.tileSpan(li)
+		return iLo, iHi
+	})
+	return x
+}
+
+// tileSpan returns the half-open tile index ranges [iLo, iHi) x [jLo, jHi)
+// a line overlaps within the die (DefI/DefII bucketing); both are empty when
+// it misses the die.
+func (x *extractor) tileSpan(li int) (iLo, iHi, jLo, jHi int) {
+	ln := &x.lines[li]
+	r := geom.Rect{X1: ln.X1, Y1: ln.YBot, X2: ln.X2, Y2: ln.YTop}.Intersect(x.d.Die)
+	if r.Empty() {
+		return 0, 0, 0, 0
+	}
+	i1, j1 := x.d.TileIndex(r.X1, r.Y1)
+	i2, j2 := x.d.TileIndex(r.X2-1, r.Y2-1)
+	return i1, i2 + 1, j1, j2 + 1
+}
+
+// rows is a gap's extent within one tile: the candidate site rows
+// [lo, hi) and the free sites among them.
+type rows struct{ lo, hi, free int }
+
+// stripe calls emit for each of tile column i's slack columns, with its
+// tile row j, in each tile's final column order.
+func (x *extractor) stripe(ws *workspace, i int, emit func(j int, g gap, r rows)) {
+	d, lines := x.d, x.lines
+	idx := x.stripeLines.bucket(i)
+	if x.def == DefIII {
+		ws.sweep(lines, idx, x.grid, d.Die, x.colStart[i], x.colStart[i+1], func(g gap) {
+			// A gap's sites live in one tile column (the tile containing
+			// the site centers) but the gap may span several tiles
+			// vertically; clip it into each.
 			_, j1 := d.TileIndex(d.Die.X1, clampY(g.yLo, d.Die))
 			_, j2 := d.TileIndex(d.Die.X1, clampY(g.yHi-1, d.Die))
 			for j := j1; j <= j2; j++ {
-				appendGap(&out[iTile][j], g, lines)
-			}
-		}
-	case DefI, DefII:
-		// Bucket lines per tile column/row span, then sweep each tile with
-		// only its own lines.
-		type refList []int
-		buckets := make([][]refList, d.NX)
-		for i := range buckets {
-			buckets[i] = make([]refList, d.NY)
-		}
-		for li, ln := range lines {
-			r := geom.Rect{X1: ln.X1, Y1: ln.YBot, X2: ln.X2, Y2: ln.YTop}.Intersect(d.Die)
-			if r.Empty() {
-				continue
-			}
-			i1, j1 := d.TileIndex(r.X1, r.Y1)
-			i2, j2 := d.TileIndex(r.X2-1, r.Y2-1)
-			for i := i1; i <= i2; i++ {
-				for j := j1; j <= j2; j++ {
-					buckets[i][j] = append(buckets[i][j], li)
+				if r := x.clip(&x.out[i][j].Rect, g); r.free > 0 {
+					emit(j, g, r)
 				}
 			}
+		})
+		return
+	}
+	// Sweep each tile of the stripe with only its own lines, bucketed by
+	// tile row.
+	ws.tileLines.build(d.NY, len(idx), func(k int) (int, int) {
+		_, _, jLo, jHi := x.tileSpan(idx[k])
+		return jLo, jHi
+	})
+	for j := 0; j < d.NY; j++ {
+		tileIdx := ws.tileIdx[:0]
+		for _, k := range ws.tileLines.bucket(j) {
+			tileIdx = append(tileIdx, idx[k])
 		}
-		for i := 0; i < d.NX; i++ {
-			for j := 0; j < d.NY; j++ {
-				tileRect := out[i][j].Rect
-				tileLines := make([]layout.HLine, 0, len(buckets[i][j]))
-				for _, li := range buckets[i][j] {
-					tileLines = append(tileLines, lines[li])
-				}
-				gaps := sweep(tileLines, grid, tileRect)
-				for _, g := range gaps {
-					if def == DefI && (g.lowIdx < 0 || g.highIdx < 0) {
-						continue // boundary-bounded slack is unusable in Def I
-					}
-					appendGap(&out[i][j], g, tileLines)
-				}
+		ws.tileIdx = tileIdx
+		rect := &x.out[i][j].Rect
+		cLo, cHi := x.grid.ColRange(rect.X1, rect.X2)
+		ws.sweep(lines, tileIdx, x.grid, *rect, cLo, cHi, func(g gap) {
+			if x.def == DefI && (g.lowIdx < 0 || g.highIdx < 0) {
+				return // boundary-bounded slack is unusable in Def I
 			}
+			if r := x.clip(rect, g); r.free > 0 {
+				emit(j, g, r)
+			}
+		})
+	}
+}
+
+// clip clips a gap to a tile vertically; the column's candidate rows are
+// the sites fully inside the clipped interval.
+func (x *extractor) clip(tile *geom.Rect, g gap) rows {
+	yLo, yHi := max(g.yLo, tile.Y1), min(g.yHi, tile.Y2)
+	if yLo >= yHi {
+		return rows{}
+	}
+	lo, hi := fullRows(x.grid, yLo, yHi)
+	if lo >= hi {
+		return rows{}
+	}
+	return rows{lo, hi, x.occ.FreeInColumn(g.col, lo, hi)}
+}
+
+// write materializes a clipped gap into the zeroed arena slot c, field by
+// field (a Column is too large to build and copy).
+func (x *extractor) write(c *Column, g gap, r rows) {
+	c.Col = g.col
+	c.X = x.grid.SiteCenterX(g.col)
+	c.YLo, c.YHi = g.yLo, g.yHi
+	c.Capacity = r.free
+	c.RowLo, c.RowHi = r.lo, r.hi
+	if g.lowIdx >= 0 {
+		c.HasLow = true
+		c.Low = x.lines[g.lowIdx].Ref
+	}
+	if g.highIdx >= 0 {
+		c.HasHigh = true
+		c.High = x.lines[g.highIdx].Ref
+	}
+}
+
+// buckets is a compressed list of index buckets: bucket b holds
+// idx[off[b]:off[b+1]], ascending.
+type buckets struct {
+	off []int
+	idx []int
+}
+
+// build fills n buckets from items 0..m-1, item k going into every bucket
+// of span(k)'s half-open range (empty ranges drop it). Backing arrays are
+// reused across calls.
+func (b *buckets) build(n, m int, span func(k int) (lo, hi int)) {
+	b.off = slices.Grow(b.off[:0], n+1)[:n+1]
+	clear(b.off)
+	for k := 0; k < m; k++ {
+		lo, hi := span(k)
+		for t := lo; t < hi; t++ {
+			b.off[t+1]++
 		}
 	}
-	return out, nil
+	for t := 0; t < n; t++ {
+		b.off[t+1] += b.off[t]
+	}
+	b.idx = slices.Grow(b.idx[:0], b.off[n])[:b.off[n]]
+	next := b.off[:n] // advanced in place, then shifted back below
+	for k := 0; k < m; k++ {
+		lo, hi := span(k)
+		for t := lo; t < hi; t++ {
+			b.idx[next[t]] = k
+			next[t]++
+		}
+	}
+	copy(b.off[1:], b.off[:n])
+	b.off[0] = 0
+}
+
+func (b *buckets) bucket(t int) []int { return b.idx[b.off[t]:b.off[t+1]] }
+
+// workspace is one worker's reusable sweep state.
+type workspace struct {
+	openStart []int64
+	openLow   []int
+	tileLines buckets // DefI/DefII: the stripe's lines per tile row
+	tileIdx   []int
+}
+
+// fanOut runs fn(ws, i) for i in [0, n) across workers goroutines, each with
+// its own workspace; one worker runs inline.
+func fanOut(workers, n int, fn func(ws *workspace, i int)) {
+	workers = max(1, min(workers, n))
+	if workers == 1 {
+		ws := &workspace{}
+		for i := 0; i < n; i++ {
+			fn(ws, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := &workspace{}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(ws, i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // clampY restricts y into the die's vertical extent (half-open).

@@ -49,7 +49,7 @@ func extract(t *testing.T, l *layout.Layout, window int64, r int, def Def) ([][]
 		t.Fatal(err)
 	}
 	occ := layout.NewOccupancy(l, grid, 0)
-	tiles, err := Extract(l, 0, d, occ, def)
+	tiles, err := Extract(l, 0, d, occ, def, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestBadDef(t *testing.T) {
 	d, _ := layout.NewDissection(die, 4000, 2)
 	grid, _ := layout.NewSiteGrid(die, rule)
 	occ := layout.NewOccupancy(l, grid, 0)
-	if _, err := Extract(l, 0, d, occ, Def(9)); err == nil {
+	if _, err := Extract(l, 0, d, occ, Def(9), 1); err == nil {
 		t.Error("bad def accepted")
 	}
 }
@@ -334,7 +334,7 @@ func TestQuickDefIIIMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		occ := layout.NewOccupancy(l, grid, 0)
-		tiles, err := Extract(l, 0, d, occ, DefIII)
+		tiles, err := Extract(l, 0, d, occ, DefIII, 1)
 		if err != nil {
 			return false
 		}
@@ -379,7 +379,7 @@ func TestQuickCapacityNeverExceedsFreeSites(t *testing.T) {
 		grid, _ := layout.NewSiteGrid(die, rule)
 		occ := layout.NewOccupancy(l, grid, 0)
 		for _, def := range []Def{DefI, DefII, DefIII} {
-			tiles, err := Extract(l, 0, d, occ, def)
+			tiles, err := Extract(l, 0, d, occ, def, 1)
 			if err != nil {
 				return false
 			}
@@ -409,7 +409,7 @@ func BenchmarkExtractDefIII(b *testing.B) {
 	occ := layout.NewOccupancy(l, grid, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Extract(l, 0, d, occ, DefIII); err != nil {
+		if _, err := Extract(l, 0, d, occ, DefIII, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
