@@ -115,60 +115,6 @@ func (c *TableCache) Table(p Process, w, d int64, maxM int, grounded bool) Table
 	return built
 }
 
-// TableView is a single-goroutine front end to a TableCache for one
-// process, feature width and fill model. It remembers the last few tables
-// it fetched, so a run of lookups over a handful of spacings — one tile's
-// columns — touches the shared cache (its shard locks and counters) once per
-// distinct table instead of once per lookup. Every lookup still counts as
-// one cache hit or miss: a lookup the view answers itself is a hit, since
-// the cache holds that table. The counts reach the cache's Stats on Flush.
-type TableView struct {
-	c        *TableCache
-	p        Process
-	w        int64
-	grounded bool
-	recent   [viewSize]viewEntry
-	next     int // recent slot to overwrite
-	hits     uint64
-}
-
-const viewSize = 8
-
-type viewEntry struct {
-	d    int64
-	maxM int
-	tbl  Table
-}
-
-// View returns an empty view of c for the given process, feature width and
-// fill model.
-func (c *TableCache) View(p Process, w int64, grounded bool) TableView {
-	return TableView{c: c, p: p, w: w, grounded: grounded}
-}
-
-// Table is c.Table(p, w, d, maxM, grounded) through the view.
-func (v *TableView) Table(d int64, maxM int) Table {
-	for k := range v.recent {
-		if e := &v.recent[k]; e.tbl.Deltas != nil && e.d == d && e.maxM == maxM {
-			v.hits++
-			return e.tbl
-		}
-	}
-	tbl := v.c.Table(v.p, v.w, d, maxM, v.grounded)
-	v.recent[v.next] = viewEntry{d: d, maxM: maxM, tbl: tbl}
-	v.next = (v.next + 1) % viewSize
-	return tbl
-}
-
-// Flush adds the lookups the view answered itself to the cache's hit
-// counter.
-func (v *TableView) Flush() {
-	if v.hits > 0 {
-		v.c.hits.Add(v.hits)
-		v.hits = 0
-	}
-}
-
 // Preload installs tbl as the entry for the given parameters, replacing any
 // existing entry. The key is normalized exactly as Table normalizes its maxM
 // argument, so a later Table call with the same parameters returns tbl

@@ -2,7 +2,6 @@ package cap
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -114,34 +113,5 @@ func TestTableCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if s := c.Stats(); s.Entries != 2*len(spacings) {
 		t.Fatalf("expected %d entries, got %+v", 2*len(spacings), s)
-	}
-}
-
-// TestTableViewCountsLikeDirectLookups: a view returns the cache's tables
-// and, once flushed, leaves the cache's counters exactly where the same
-// lookups made directly would.
-func TestTableViewCountsLikeDirectLookups(t *testing.T) {
-	p := Default130
-	for _, grounded := range []bool{false, true} {
-		direct, viewed := NewTableCache(), NewTableCache()
-		v := viewed.View(p, 300, grounded)
-		rng := rand.New(rand.NewSource(4))
-		for k := 0; k < 2000; k++ {
-			// More distinct keys than the view remembers, so it both
-			// answers lookups itself and falls through to the cache.
-			d := int64(700 + 100*rng.Intn(12))
-			maxM := rng.Intn(3)
-			want := direct.Table(p, 300, d, maxM, grounded)
-			if got := v.Table(d, maxM); !tablesEqual(got, want) {
-				t.Fatalf("view table (d=%d, maxM=%d, grounded=%v) differs", d, maxM, grounded)
-			}
-			if k%500 == 0 {
-				v.Flush()
-			}
-		}
-		v.Flush()
-		if got, want := viewed.Stats(), direct.Stats(); got != want {
-			t.Fatalf("grounded=%v: view stats %+v, direct %+v", grounded, got, want)
-		}
 	}
 }

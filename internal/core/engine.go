@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pilfill/internal/cap"
@@ -15,6 +14,7 @@ import (
 	"pilfill/internal/ilp"
 	"pilfill/internal/layout"
 	"pilfill/internal/obs"
+	"pilfill/internal/par"
 	"pilfill/internal/rc"
 	"pilfill/internal/scanline"
 )
@@ -201,69 +201,6 @@ type Engine struct {
 	scratchFree []*SolveScratch
 }
 
-// workerCount resolves the effective fan-out width for n independent items.
-func workerCount(workers, n int) int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// fanOut runs fn(i) for i in [0, n) across the given number of workers. With
-// one worker it degenerates to a plain loop; fn must touch only index-owned
-// state so results are identical either way.
-func fanOut(workers, n int, fn func(i int)) {
-	fanOutOrder(workers, n, nil, func(_, i int) { fn(i) })
-}
-
-// fanOutWorker is fanOut exposing the worker index to fn — the tracer's
-// display lane, so concurrent tiles render on separate rows in a trace.
-func fanOutWorker(workers, n int, fn func(worker, i int)) {
-	fanOutOrder(workers, n, nil, fn)
-}
-
-// fanOutOrder runs fn over n items across workers, claiming items off a
-// single atomic counter (no feeder goroutine, no channel handoff per item).
-// A non-nil order remaps the claim sequence — claim c runs fn(w, order[c])
-// — so callers can front-load expensive items (longest-processing-time
-// scheduling); nil means identity. Item-to-worker binding is nondeterministic
-// under contention, which is why fn must touch only index-owned state.
-func fanOutOrder(workers, n int, order []int, fn func(worker, i int)) {
-	if workers = workerCount(workers, n); workers == 1 {
-		for i := 0; i < n; i++ {
-			if order != nil {
-				fn(0, order[i])
-			} else {
-				fn(0, i)
-			}
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= n {
-					return
-				}
-				if order != nil {
-					fn(w, order[c])
-				} else {
-					fn(w, c)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // predictCost scores a tile's expected solve cost for scheduling: the
 // ILP-II variable count (Σ per-column curve lengths) dominates branch-and-
 // bound work, scaled by the fill budget; the column count stands in for the
@@ -331,7 +268,7 @@ func NewEngine(l *layout.Layout, dis *layout.Dissection, rule layout.FillRule, c
 	analyzeSpan := cfg.Trace.Start("phase", "analyze", 0, prep.ID())
 	analyses := make([]*rc.Analysis, len(l.Nets))
 	errs := make([]error, len(l.Nets))
-	fanOut(cfg.Workers, len(l.Nets), func(i int) {
+	par.For(cfg.Workers, len(l.Nets), nil, func(_, i int) {
 		analyses[i], errs[i] = rc.Analyze(l.Nets[i], cfg.Proc)
 	})
 	analyzeSpan.End()
@@ -414,7 +351,7 @@ func (e *Engine) Instances(budget density.Budget) ([]*Instance, error) {
 	}
 	built := make([]*Instance, len(slots))
 	errs := make([]error, len(slots))
-	fanOut(e.Cfg.Workers, len(slots), func(s int) {
+	par.For(e.Cfg.Workers, len(slots), nil, func(_, s int) {
 		built[s], errs[s] = e.buildInstance(slots[s].i, slots[s].j, slots[s].want)
 	})
 	for _, err := range errs {
@@ -745,7 +682,7 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 	if memo != nil && !memoizable(method, &e.Cfg.ILPOpts) {
 		memo = nil
 	}
-	workers := workerCount(e.Cfg.Workers, len(instances))
+	workers := par.Workers(e.Cfg.Workers, len(instances))
 	var scs []*SolveScratch
 	var baseOpts ilp.Options
 	var nc *NetCap
@@ -849,7 +786,7 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 		// Hardest tiles first (LPT): the predicted-cost order only decides
 		// who starts when — each tile's solve and the reduction below are
 		// order-independent, so results stay bit-identical to serial.
-		fanOutOrder(workers, len(instances), costOrder(instances), solveOne)
+		par.For(workers, len(instances), costOrder(instances), solveOne)
 	} else {
 		for i := range instances {
 			solveOne(0, i)

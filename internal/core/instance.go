@@ -51,7 +51,9 @@ type ColumnVar struct {
 	EvalWeighted   []float64
 
 	// DeltaC[m] is the exact added coupling capacitance of m features
-	// (farads); nil for unattributed columns.
+	// (farads); nil for unattributed columns. It aliases the capacitance
+	// table's Deltas, which the table cache shares with every column of the
+	// same spacing and capacity in the process: read-only.
 	DeltaC []float64
 
 	// NetLow/NetHigh are the bounding nets (-1 if none) with the upstream
@@ -70,8 +72,8 @@ type ColumnVar struct {
 	// FreeRows lists the column's free site rows nearest the gap's vertical
 	// center first — the order place consumes them in. Memoized at instance
 	// construction (occupancy never changes between build and placement) so
-	// repeated runs over the same instances skip the per-run occupancy scan
-	// and sort; nil (hand-built test instances) makes place re-scan.
+	// repeated runs over the same instances skip the per-run occupancy scan;
+	// nil (hand-built test instances) makes place re-scan.
 	FreeRows []int
 }
 
@@ -196,13 +198,6 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 			nCurve += col.Capacity + 1
 		}
 	}
-	// One cache lookup per attributed column, through a view that serves a
-	// tile's repeated spacings without touching the shared cache.
-	var tables cap.TableView
-	if e.cache != nil {
-		tables = e.cache.View(proc, rule.Feature, e.Cfg.Grounded)
-		defer tables.Flush()
-	}
 	in := &Instance{I: i, J: j, Columns: make([]ColumnVar, 0, nCols)}
 	curves := make([]float64, 2*nCurve)
 	rows := make([]int, nRows)
@@ -220,7 +215,7 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 			d := col.Spacing()
 			var tbl cap.Table
 			if e.cache != nil {
-				tbl = tables.Table(d, col.Capacity)
+				tbl = e.cache.Table(proc, rule.Feature, d, col.Capacity, e.Cfg.Grounded)
 			} else if e.Cfg.Grounded {
 				tbl = proc.BuildGroundedTable(rule.Feature, d, col.Capacity)
 			} else {

@@ -20,11 +20,10 @@ package scanline
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"pilfill/internal/geom"
 	"pilfill/internal/layout"
+	"pilfill/internal/par"
 )
 
 // Def selects a slack-column definition.
@@ -228,10 +227,11 @@ func Extract(l *layout.Layout, layer int, d *layout.Dissection, occ *layout.Occu
 	}
 	x := newExtractor(l.HLines(layer), d, occ, def, out)
 
+	ws := make([]workspace, par.Workers(workers, d.NX))
 	counts := make([]int, d.NX*d.NY)
-	fanOut(workers, d.NX, func(ws *workspace, i int) {
+	par.For(workers, d.NX, nil, func(w, i int) {
 		row := counts[i*d.NY : (i+1)*d.NY]
-		x.stripe(ws, i, func(j int, _ gap, _ rows) { row[j]++ })
+		x.stripe(&ws[w], i, func(j int, _ gap, _ rows) { row[j]++ })
 	})
 	total := 0
 	for _, n := range counts {
@@ -246,9 +246,9 @@ func Extract(l *layout.Layout, layer int, d *layout.Dissection, occ *layout.Occu
 		counts[k] = off // now the tile's write cursor into the arena
 		off += n
 	}
-	fanOut(workers, d.NX, func(ws *workspace, i int) {
+	par.For(workers, d.NX, nil, func(w, i int) {
 		next := counts[i*d.NY : (i+1)*d.NY]
-		x.stripe(ws, i, func(j int, g gap, r rows) {
+		x.stripe(&ws[w], i, func(j int, g gap, r rows) {
 			x.write(&arena[next[j]], g, r)
 			next[j]++
 		})
@@ -455,36 +455,6 @@ type workspace struct {
 	openLow   []int
 	tileLines buckets // DefI/DefII: the stripe's lines per tile row
 	tileIdx   []int
-}
-
-// fanOut runs fn(ws, i) for i in [0, n) across workers goroutines, each with
-// its own workspace; one worker runs inline.
-func fanOut(workers, n int, fn func(ws *workspace, i int)) {
-	workers = max(1, min(workers, n))
-	if workers == 1 {
-		ws := &workspace{}
-		for i := 0; i < n; i++ {
-			fn(ws, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := &workspace{}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(ws, i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // clampY restricts y into the die's vertical extent (half-open).

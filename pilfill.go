@@ -160,7 +160,9 @@ func (o *Options) withDefaults() Options {
 
 // Session is a prepared layout: dissection, density budget, slack columns
 // and RC analyses, ready to run any number of placement methods for an
-// apples-to-apples comparison.
+// apples-to-apples comparison. The Instances' curves are read-only: DeltaC
+// in particular shares storage with the process-wide capacitance table
+// cache, so a write through it would corrupt every later engine's tables.
 type Session struct {
 	Layout    *layout.Layout
 	Engine    *core.Engine
