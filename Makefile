@@ -33,12 +33,13 @@ cluster-smoke:
 bench:
 	$(GO) test -bench 'EnginePreprocess' -benchtime 10x -run '^$$' .
 
-# Solver-core comparison (current vs row-based baseline, plus the DualAscent
-# path): runs the BenchmarkILPI/BenchmarkILPII/BenchmarkSimplex
-# microbenchmarks and writes the node/pivot work comparison — with each
-# path's pivots==0 fraction, the dual fallback rate, and bit-equality checks
-# of the dual objective against the ILP optima — to BENCH_solver.json,
-# failing below the 2x work-reduction or 5x dual wall-time floors.
+# Solver-core benchmark (ILP-I, ILP-II and the DualAscent path): runs the
+# BenchmarkILPI/BenchmarkILPII/BenchmarkSimplex microbenchmarks and writes
+# the node/pivot work per case — with each path's pivots==0 fraction, the
+# dual fallback rate, and bit-equality checks of the dual objective against
+# the ILP optima — to BENCH_solver.json, failing above the frozen per-case
+# work ceilings (half the row-based reference's work) or below the 5x dual
+# wall-time floor.
 # bench-solver-short is the single-case CI variant; it writes its own
 # BENCH_solver_short.json so CI never overwrites the full-run file.
 bench-solver:
@@ -48,11 +49,11 @@ bench-solver:
 bench-solver-short:
 	$(GO) run ./cmd/benchsolver -short -check -o BENCH_solver_short.json
 
-# End-to-end engine benchmark (pooled steady-state vs allocating path): per
-# method tiles/sec, ns/tile and allocs/op plus the ILP-II worker-scaling
-# curve, written to BENCH_engine.json. Fails below the 5x allocation-
-# reduction floor, below the 5x DualAscent solve-phase ns/tile reduction
-# over ILP-II, or on any pooled-vs-unpooled result divergence.
+# End-to-end engine benchmark (warm steady-state solve path): per method
+# tiles/sec, ns/tile and allocs/op plus the ILP-II worker-scaling curve,
+# written to BENCH_engine.json. Fails above 1 alloc per tile for any method,
+# below the 5x DualAscent solve-phase ns/tile reduction over ILP-II, or when
+# a warm run's result diverges from the warm-up run's.
 # bench-engine-short is the single-case CI variant (no scaling sweep),
 # written to BENCH_engine_short.json.
 bench-engine:

@@ -6,24 +6,22 @@
 //	benchengine -check                        # enforce regression floors
 //
 // For every benchmark case and every placement method it runs the engine
-// twice over the identical instances: on the pooled steady-state path
-// (worker-local SolveScratch, reused branch-and-bound searcher, assignment
-// slab) and with pooling disabled (Config.NoSolvePool — the pre-pooling
-// per-tile allocation behavior). Both paths must produce bit-identical
-// results — any divergence fails the run — and the pooled path's warm
-// throughput (tiles/sec, ns/tile) and allocation profile (allocs/op,
-// B/op per tile) are compared against the unpooled path.
+// over the identical instances on its pooled steady-state path (worker-local
+// SolveScratch, reused branch-and-bound searcher, assignment slab) and
+// records the warm throughput (tiles/sec, ns/tile) and allocation profile
+// (allocs/op, B/op per tile). Every measured run must be bit-identical to
+// the warm-up run — any divergence means buffer reuse leaked state and fails
+// the run.
 //
 // A second experiment sweeps the worker count for the ILP-II method and
 // records the wall-clock scaling curve against the makespan lower bound
 // max(solve CPU / workers, longest single solve): how close the cost-ordered
 // (LPT) work queue gets to perfect scheduling.
 //
-// With -check the run exits 1 unless the ILP-I and ILP-II pooled paths
-// allocate at least 5x less than unpooled, DualAscent's solve-phase ns/tile
-// is at least 5x below ILP-II's (its certificate replaces the
-// branch-and-bound search entirely on convex tiles), and every identity
-// check passed.
+// With -check the run exits 1 unless every method allocates at most
+// maxAllocsPerTile per tile on every case and DualAscent's solve-phase
+// ns/tile is at least 5x below ILP-II's (its certificate replaces the
+// branch-and-bound search entirely on convex tiles).
 package main
 
 import (
@@ -54,13 +52,18 @@ type benchCase struct {
 
 func (c benchCase) name() string { return fmt.Sprintf("%s/%d/%d", c.Testcase, c.W, c.R) }
 
+// maxAllocsPerTile is the -check ceiling on warm allocs/op for every method:
+// the steady-state solve path allocates only per-run overhead, never per
+// tile.
+const maxAllocsPerTile = 1.0
+
 var methods = []core.Method{
 	core.Normal, core.Greedy, core.MarginalGreedy, core.DP, core.ILPI, core.ILPII,
 	core.DualAscent,
 }
 
-// PathStats is one measured engine path (pooled or unpooled) over a case:
-// per-tile time and allocation figures averaged over the measurement runs.
+// PathStats is one method's measured engine path over a case: per-tile time
+// and allocation figures averaged over the measurement runs.
 type PathStats struct {
 	NSPerTile float64 `json:"ns_per_tile"`
 	// SolveNSPerTile is the solve phase alone (Result.CPU over tiles): the
@@ -77,13 +80,10 @@ type PathStats struct {
 	MeasuredRuns   int     `json:"measured_runs"`
 }
 
-// MethodResult compares the pooled and unpooled paths for one method.
+// MethodResult is one method's measurement on one case.
 type MethodResult struct {
-	Method         string    `json:"method"`
-	Pooled         PathStats `json:"pooled"`
-	Unpooled       PathStats `json:"unpooled"`
-	AllocReduction float64   `json:"alloc_reduction"` // unpooled allocs/op over pooled
-	Identical      bool      `json:"identical"`       // pooled == unpooled bit-for-bit
+	Method string `json:"method"`
+	PathStats
 }
 
 // ScalePoint is one worker count on the ILP-II scaling curve.
@@ -114,11 +114,11 @@ type Output struct {
 	Short     bool         `json:"short"`
 	GoMaxProc int          `json:"gomaxprocs"`
 	Cases     []CaseResult `json:"cases"`
-	// Worst-case (minimum) alloc reduction over all cases for the floors.
-	ILPIAllocReduction  float64 `json:"ilp1_alloc_reduction"`
-	ILPIIAllocReduction float64 `json:"ilp2_alloc_reduction"`
-	// Worst-case (minimum) DualAscent ns/tile reduction over the ILP methods'
-	// pooled paths. The solve-phase ILP-II figure is a CI floor (>= 5x under
+	// MaxAllocsPerOp is the worst (largest) allocs/op over every method and
+	// case — the figure the -check ceiling gates.
+	MaxAllocsPerOp float64 `json:"max_allocs_per_op"`
+	// Worst-case (minimum) DualAscent ns/tile reduction over the ILP
+	// methods. The solve-phase ILP-II figure is a CI floor (>= 5x under
 	// -check): the solve phase is the share of per-tile time the method can
 	// influence, so flooring the total — which includes ~1us of placement
 	// and accounting overhead paid identically by every method — would gate
@@ -157,27 +157,30 @@ func identical(a, b *core.Result) bool {
 
 // measurePath runs the engine `runs` times over the instances and averages
 // time and allocation per tile. The engine is run once beforehand to warm
-// caches (and, on the pooled path, the scratch buffers) so the figures are
-// steady-state. Measurement is serial (Workers = 1) so the allocation deltas
-// are not polluted by scheduler noise and ns/tile is comparable across
-// machines with different core counts.
-func measurePath(eng *core.Engine, m core.Method, instances []*core.Instance, runs int) (PathStats, *core.Result, error) {
+// caches and the scratch buffers so the figures are steady-state, and every
+// measured run must be bit-identical to that warm-up run. Measurement is
+// serial (Workers = 1) so the allocation deltas are not polluted by
+// scheduler noise and ns/tile is comparable across machines with different
+// core counts.
+func measurePath(eng *core.Engine, m core.Method, instances []*core.Instance, runs int) (PathStats, error) {
 	eng.Cfg.Workers = 1
-	res, err := eng.Run(m, instances) // warm-up; also the identity-check result
+	warm, err := eng.Run(m, instances)
 	if err != nil {
-		return PathStats{}, nil, err
+		return PathStats{}, err
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	var cpu time.Duration
+	diverged := false
 	for i := 0; i < runs; i++ {
 		r, err := eng.Run(m, instances)
 		if err != nil {
-			return PathStats{}, nil, err
+			return PathStats{}, err
 		}
 		cpu += r.CPU
+		diverged = diverged || !identical(r, warm)
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
@@ -195,11 +198,14 @@ func measurePath(eng *core.Engine, m core.Method, instances []*core.Instance, ru
 	st.NSPerTile = float64(wall.Nanoseconds()) / ops
 	st.SolveNSPerTile = float64(cpu.Nanoseconds()) / ops
 	st.TilesPerSec = ops / wall.Seconds()
-	return st, res, nil
+	if diverged {
+		return st, fmt.Errorf("warm run diverges from the warm-up run")
+	}
+	return st, nil
 }
 
-// scalingCurve sweeps worker counts 1, 2, 4, ... GOMAXPROCS for ILP-II on
-// the pooled path and reports wall clock against the makespan lower bound.
+// scalingCurve sweeps worker counts 1, 2, 4, ... GOMAXPROCS for ILP-II and
+// reports wall clock against the makespan lower bound.
 func scalingCurve(eng *core.Engine, instances []*core.Instance) ([]ScalePoint, error) {
 	var points []ScalePoint
 	maxW := runtime.GOMAXPROCS(0)
@@ -256,31 +262,13 @@ func runCase(c benchCase, runs int, short bool) (CaseResult, error) {
 	}
 	res := CaseResult{Case: c.name(), Tiles: len(instances)}
 	for _, m := range methods {
-		eng.Cfg.NoSolvePool = false
-		pooled, pRes, err := measurePath(eng, m, instances, runs)
+		st, err := measurePath(eng, m, instances, runs)
 		if err != nil {
-			return res, fmt.Errorf("%s %v pooled: %w", c.name(), m, err)
+			return res, fmt.Errorf("%s %v: %w", c.name(), m, err)
 		}
-		eng.Cfg.NoSolvePool = true
-		unpooled, uRes, err := measurePath(eng, m, instances, runs)
-		if err != nil {
-			return res, fmt.Errorf("%s %v unpooled: %w", c.name(), m, err)
-		}
-		eng.Cfg.NoSolvePool = false
-		mr := MethodResult{
-			Method:    m.String(),
-			Pooled:    pooled,
-			Unpooled:  unpooled,
-			Identical: identical(pRes, uRes),
-		}
-		mr.AllocReduction = unpooled.AllocsPerOp / math.Max(pooled.AllocsPerOp, 1e-9)
-		if !mr.Identical {
-			return res, fmt.Errorf("%s %v: pooled and unpooled results diverge", c.name(), m)
-		}
-		res.Methods = append(res.Methods, mr)
-		fmt.Fprintf(os.Stderr, "%-10s %-15s %8.0f ns/tile %8.1f allocs/op (unpooled %8.1f, %6.1fx) %9.0f B/op\n",
-			res.Case, mr.Method, pooled.NSPerTile, pooled.AllocsPerOp,
-			unpooled.AllocsPerOp, mr.AllocReduction, pooled.BytesPerOp)
+		res.Methods = append(res.Methods, MethodResult{Method: m.String(), PathStats: st})
+		fmt.Fprintf(os.Stderr, "%-10s %-15s %8.0f ns/tile %8.3f allocs/op %9.0f B/op\n",
+			res.Case, m, st.NSPerTile, st.AllocsPerOp, st.BytesPerOp)
 	}
 	if !short {
 		if res.Scaling, err = scalingCurve(eng, instances); err != nil {
@@ -298,7 +286,7 @@ func main() {
 	var (
 		out        = flag.String("o", "BENCH_engine.json", "output file, - for stdout")
 		short      = flag.Bool("short", false, "single case, no scaling sweep (CI)")
-		check      = flag.Bool("check", false, "exit 1 unless ILP alloc reductions reach 5x")
+		check      = flag.Bool("check", false, "exit 1 unless every method stays within the allocs/tile ceiling and DualAscent's solve phase is 5x below ILP-II's")
 		runs       = flag.Int("runs", 5, "measurement runs per path")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this path on exit")
@@ -333,8 +321,6 @@ func main() {
 		Generated:                 time.Now().UTC().Format(time.RFC3339),
 		Short:                     *short,
 		GoMaxProc:                 runtime.GOMAXPROCS(0),
-		ILPIAllocReduction:        math.Inf(1),
-		ILPIIAllocReduction:       math.Inf(1),
 		DualNSReductionILPI:       math.Inf(1),
 		DualNSReductionILPII:      math.Inf(1),
 		DualSolveNSReductionILPII: math.Inf(1),
@@ -347,17 +333,16 @@ func main() {
 		doc.Cases = append(doc.Cases, res)
 		var ilp1NS, ilp2NS, ilp2SolveNS, dualNS, dualSolveNS float64
 		for _, mr := range res.Methods {
+			doc.MaxAllocsPerOp = math.Max(doc.MaxAllocsPerOp, mr.AllocsPerOp)
 			switch mr.Method {
 			case core.ILPI.String():
-				doc.ILPIAllocReduction = math.Min(doc.ILPIAllocReduction, mr.AllocReduction)
-				ilp1NS = mr.Pooled.NSPerTile
+				ilp1NS = mr.NSPerTile
 			case core.ILPII.String():
-				doc.ILPIIAllocReduction = math.Min(doc.ILPIIAllocReduction, mr.AllocReduction)
-				ilp2NS = mr.Pooled.NSPerTile
-				ilp2SolveNS = mr.Pooled.SolveNSPerTile
+				ilp2NS = mr.NSPerTile
+				ilp2SolveNS = mr.SolveNSPerTile
 			case core.DualAscent.String():
-				dualNS = mr.Pooled.NSPerTile
-				dualSolveNS = mr.Pooled.SolveNSPerTile
+				dualNS = mr.NSPerTile
+				dualSolveNS = mr.SolveNSPerTile
 			}
 		}
 		if dualNS > 0 {
@@ -380,9 +365,9 @@ func main() {
 		fail("%v", err)
 	}
 
-	if *check && (doc.ILPIAllocReduction < 5 || doc.ILPIIAllocReduction < 5) {
-		fail("alloc reduction below 5x: ILP-I %.1fx, ILP-II %.1fx",
-			doc.ILPIAllocReduction, doc.ILPIIAllocReduction)
+	if *check && doc.MaxAllocsPerOp > maxAllocsPerTile {
+		fail("a method allocates %.3f times per tile, above the %.1f ceiling",
+			doc.MaxAllocsPerOp, maxAllocsPerTile)
 	}
 	if *check && doc.DualSolveNSReductionILPII < 5 {
 		fail("DualAscent solve ns/tile reduction over ILP-II below 5x: %.2fx",

@@ -6,22 +6,24 @@
 //	benchsolver -check                        # exit 1 unless the floors hold
 //
 // For every benchmark case it builds the harness's tile instances and solves
-// each tile's ILP-I and ILP-II program twice: with the current solver
-// (bounded-variable simplex, reusable workspace, greedy incumbent seeding,
-// ILP-I warm start) and with the row-based baseline that predates those
-// optimizations (fresh tableau per node, bounds encoded as constraint rows,
-// no incumbent). Both paths must agree on every status and objective — any
-// mismatch is a solver bug and fails the run — and the "work" of each path
-// is summarized as B&B nodes x LP pivots.
+// each tile's ILP-I and ILP-II program as the engine does (bounded-variable
+// simplex, reusable workspace, greedy incumbent seeding, ILP-I warm start).
+// The "work" of each family is summarized as B&B nodes x LP pivots and held
+// to a frozen per-case ceiling: half the work the row-based reference search
+// (fresh tableau per node, bounds encoded as constraint rows, no incumbent)
+// needed on the same case. The row-based counts are deterministic, so the
+// ceiling is the old live "2x work reduction" floor without re-running the
+// reference; the reference itself is now a test oracle (internal/ilp), where
+// TestTileProgramsMatchRowBased checks statuses and objectives tile by tile.
 //
-// The DualAscent section solves the same tiles a third way — Lagrangian dual
-// ascent with an exact optimality certificate — and holds it to a stricter
-// standard than the tolerance check above: on every tile proven Optimal by
-// branch-and-bound, the dual objective must be bit-identical (canonical
-// addend order) to ILP-II's, and to ILP-I's on the linearized instances
-// ILP-I actually optimizes. Since the certificate path does zero B&B nodes
-// and zero pivots, its work reduction is reported in wall time (ns), along
-// with each path's zero-pivot tile fraction and the dual fallback rate.
+// The DualAscent section solves the same tiles a second way — Lagrangian
+// dual ascent with an exact optimality certificate — and holds it to bit
+// identity: on every tile proven Optimal by branch-and-bound, the dual
+// objective must be bit-identical (canonical addend order) to ILP-II's, and
+// to ILP-I's on the linearized instances ILP-I actually optimizes. Since the
+// certificate path does zero B&B nodes and zero pivots, its gain is reported
+// in wall time (ns), along with each path's zero-pivot tile fraction and the
+// dual fallback rate.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"pilfill/internal/core"
@@ -45,10 +48,13 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// benchCase names one harness grid point.
+// benchCase names one harness grid point and its frozen work ceilings: half
+// the nodes x pivots the row-based reference search recorded on the case
+// (BENCH_solver.json before the reference became a test oracle).
 type benchCase struct {
-	Testcase string
-	W, R     int
+	Testcase            string
+	W, R                int
+	ILPICeil, ILPIICeil float64
 }
 
 func (c benchCase) name() string { return fmt.Sprintf("%s/%d/%d", c.Testcase, c.W, c.R) }
@@ -63,15 +69,20 @@ type PathStats struct {
 
 func (s PathStats) work() float64 { return float64(s.Nodes) * float64(s.Pivots) }
 
-// Comparison is one solver family (ILP-I or ILP-II) on one case.
-type Comparison struct {
-	New           PathStats `json:"new"`
-	Baseline      PathStats `json:"baseline"`
-	WorkReduction float64   `json:"work_reduction"` // baseline nodes*pivots over new
+// Family is one solver family (ILP-I or ILP-II) on one case: its measured
+// work and the case's frozen ceiling.
+type Family struct {
+	PathStats
+	Work        float64 `json:"work"`         // nodes x pivots
+	WorkCeiling float64 `json:"work_ceiling"` // -check fails when Work exceeds it
+}
+
+func family(st PathStats, ceiling float64) Family {
+	return Family{PathStats: st, Work: st.work(), WorkCeiling: ceiling}
 }
 
 // DualComparison is the DualAscent path on one case, measured against the
-// current (new-path) ILP-II solver over the same tiles. The dual certificate
+// ILP-II solver over the same tiles. The dual certificate
 // does no B&B and no pivoting, so nodes*pivots is identically zero and the
 // reduction is reported in wall time instead.
 type DualComparison struct {
@@ -85,19 +96,17 @@ type DualComparison struct {
 type CaseResult struct {
 	Case  string         `json:"case"`
 	Tiles int            `json:"tiles"`
-	ILPI  Comparison     `json:"ilp1"`
-	ILPII Comparison     `json:"ilp2"`
+	ILPI  Family         `json:"ilp1"`
+	ILPII Family         `json:"ilp2"`
 	Dual  DualComparison `json:"dual"`
 }
 
 // Output is the BENCH_solver.json document.
 type Output struct {
-	Generated          string       `json:"generated"`
-	Short              bool         `json:"short"`
-	Cases              []CaseResult `json:"cases"`
-	ILPIWorkReduction  float64      `json:"ilp1_work_reduction"`       // worst case over Cases
-	ILPIIWorkReduction float64      `json:"ilp2_work_reduction"`       // worst case over Cases
-	DualNSReduction    float64      `json:"dual_ns_reduction_vs_ilp2"` // worst case over Cases
+	Generated       string       `json:"generated"`
+	Short           bool         `json:"short"`
+	Cases           []CaseResult `json:"cases"`
+	DualNSReduction float64      `json:"dual_ns_reduction_vs_ilp2"` // worst case over Cases
 }
 
 // buildInstances constructs the tile instances of one harness grid point the
@@ -181,38 +190,6 @@ func linearize(in *core.Instance) *core.Instance {
 	return &lin
 }
 
-// checkExact verifies the two paths agree tile by tile: identical statuses
-// and (for solved tiles) objectives equal within tolerance. Assignments may
-// differ only between equal-cost optima, so they are not compared.
-func checkExact(caseName, family string, newSols, baseSols []*ilp.Solution) error {
-	for i := range newSols {
-		a, b := newSols[i], baseSols[i]
-		if (a == nil) != (b == nil) {
-			return fmt.Errorf("%s %s tile %d: trivial/non-trivial mismatch", caseName, family, i)
-		}
-		if a == nil {
-			continue
-		}
-		if a.Status != b.Status {
-			return fmt.Errorf("%s %s tile %d: status %v (new) vs %v (baseline)",
-				caseName, family, i, a.Status, b.Status)
-		}
-		if a.Status != ilp.Optimal && a.Status != ilp.Feasible {
-			continue
-		}
-		diff := math.Abs(a.Objective - b.Objective)
-		if diff > 1e-6*(1+math.Abs(b.Objective)) {
-			return fmt.Errorf("%s %s tile %d: objective %g (new) vs %g (baseline)",
-				caseName, family, i, a.Objective, b.Objective)
-		}
-	}
-	return nil
-}
-
-func reduction(c *Comparison) {
-	c.WorkReduction = c.Baseline.work() / math.Max(c.New.work(), 1)
-}
-
 func runCase(c benchCase) (CaseResult, error) {
 	instances, err := buildInstances(c)
 	if err != nil {
@@ -221,8 +198,7 @@ func runCase(c benchCase) (CaseResult, error) {
 	res := CaseResult{Case: c.name(), Tiles: len(instances)}
 	opts := &ilp.Options{MaxNodes: 20000}
 
-	// ILP-I: new = seeded + warm-started (as SolveILPI configures it),
-	// baseline = row-based, no incumbent.
+	// ILP-I: seeded + warm-started, as SolveILPI configures it.
 	newI, newISols, err := runPath(instances, func(in *core.Instance) (*ilp.Solution, error) {
 		p, inc := core.BuildILPI(in)
 		if p == nil {
@@ -236,24 +212,9 @@ func runCase(c benchCase) (CaseResult, error) {
 	if err != nil {
 		return res, err
 	}
-	baseI, baseISols, err := runPath(instances, func(in *core.Instance) (*ilp.Solution, error) {
-		p, _ := core.BuildILPI(in)
-		if p == nil {
-			return nil, nil
-		}
-		return ilp.SolveRowBased(p, opts)
-	})
-	if err != nil {
-		return res, err
-	}
-	if err := checkExact(c.name(), "ILP-I", newISols, baseISols); err != nil {
-		return res, err
-	}
-	res.ILPI = Comparison{New: newI, Baseline: baseI}
-	reduction(&res.ILPI)
+	res.ILPI = family(newI, c.ILPICeil)
 
-	// ILP-II: new = seeded (marginal-greedy incumbent, no warm start),
-	// baseline = row-based, no incumbent.
+	// ILP-II: seeded with the marginal-greedy incumbent, no warm start.
 	newII, newIISols, err := runPath(instances, func(in *core.Instance) (*ilp.Solution, error) {
 		g := core.BuildILPII(in, nil)
 		if g == nil {
@@ -266,26 +227,12 @@ func runCase(c benchCase) (CaseResult, error) {
 	if err != nil {
 		return res, err
 	}
-	baseII, baseIISols, err := runPath(instances, func(in *core.Instance) (*ilp.Solution, error) {
-		g := core.BuildILPII(in, nil)
-		if g == nil {
-			return nil, nil
-		}
-		return ilp.SolveRowBased(g.P, opts)
-	})
-	if err != nil {
-		return res, err
-	}
-	if err := checkExact(c.name(), "ILP-II", newIISols, baseIISols); err != nil {
-		return res, err
-	}
-	res.ILPII = Comparison{New: newII, Baseline: baseII}
-	reduction(&res.ILPII)
+	res.ILPII = family(newII, c.ILPIICeil)
 
 	// DualAscent: the same tiles through the Lagrangian dual path. Certified
 	// tiles do zero B&B nodes and zero LP pivots, so nodes*pivots is not a
-	// meaningful work metric for it; the comparison against the ILP-II new
-	// path is wall time instead.
+	// meaningful work metric for it; the comparison against ILP-II is wall
+	// time instead.
 	dualAssigns := make([]core.Assignment, len(instances))
 	fallbacks := 0
 	di := 0
@@ -311,8 +258,7 @@ func runCase(c benchCase) (CaseResult, error) {
 	}
 	res.Dual.NSReductionII = float64(newII.NS) / math.Max(float64(dual.NS), 1)
 
-	// Exactness, held to a stricter standard than checkExact's tolerance:
-	// on every tile branch-and-bound proved Optimal, the dual assignment's
+	// Exactness, to the bit: on every tile branch-and-bound proved Optimal, the dual assignment's
 	// cost must be bit-identical to the decoded ILP-II optimum on the exact
 	// program. Node-limited (Feasible) tiles pin no optimum and are skipped.
 	for i, in := range instances {
@@ -363,7 +309,7 @@ func main() {
 	var (
 		out        = flag.String("o", "BENCH_solver.json", "output file, - for stdout")
 		short      = flag.Bool("short", false, "single-case run for CI")
-		check      = flag.Bool("check", false, "exit 1 unless both ILP families reach a 2x work reduction and DualAscent a 5x wall-time reduction over ILP-II")
+		check      = flag.Bool("check", false, "exit 1 unless both ILP families stay within their per-case work ceilings and DualAscent reaches a 5x wall-time reduction over ILP-II")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this path on exit")
 	)
@@ -388,38 +334,43 @@ func main() {
 		}()
 	}
 
-	cases := []benchCase{{"T1", 20, 8}, {"T1", 32, 4}, {"T2", 20, 8}}
+	cases := []benchCase{
+		{"T1", 20, 8, 7_503_160, 44_920_896},
+		{"T1", 32, 4, 726_432, 4_060_448},
+		{"T2", 20, 8, 29_778_300, 197_087_207},
+	}
 	if *short {
 		cases = cases[:1]
 	}
 
 	doc := Output{
-		Generated:          time.Now().UTC().Format(time.RFC3339),
-		Short:              *short,
-		ILPIWorkReduction:  math.Inf(1),
-		ILPIIWorkReduction: math.Inf(1),
-		DualNSReduction:    math.Inf(1),
+		Generated:       time.Now().UTC().Format(time.RFC3339),
+		Short:           *short,
+		DualNSReduction: math.Inf(1),
 	}
+	var overCeiling []string
 	for _, c := range cases {
 		res, err := runCase(c)
 		if err != nil {
 			fail("%v", err)
 		}
 		doc.Cases = append(doc.Cases, res)
-		doc.ILPIWorkReduction = math.Min(doc.ILPIWorkReduction, res.ILPI.WorkReduction)
-		doc.ILPIIWorkReduction = math.Min(doc.ILPIIWorkReduction, res.ILPII.WorkReduction)
 		doc.DualNSReduction = math.Min(doc.DualNSReduction, res.Dual.NSReductionII)
-		fmt.Fprintf(os.Stderr, "%-10s  ILP-I %5d nodes %7d pivots (baseline %5d/%7d, %.2fx)  ILP-II %5d/%7d (baseline %5d/%7d, %.2fx)\n",
+		for name, f := range map[string]Family{"ILP-I": res.ILPI, "ILP-II": res.ILPII} {
+			if f.Work > f.WorkCeiling {
+				overCeiling = append(overCeiling, fmt.Sprintf("%s %s work %.0f > ceiling %.0f",
+					res.Case, name, f.Work, f.WorkCeiling))
+			}
+		}
+		fmt.Fprintf(os.Stderr, "%-10s  ILP-I %5d nodes %7d pivots (work %.0f, ceiling %.0f)  ILP-II %5d/%7d (work %.0f, ceiling %.0f)\n",
 			res.Case,
-			res.ILPI.New.Nodes, res.ILPI.New.Pivots,
-			res.ILPI.Baseline.Nodes, res.ILPI.Baseline.Pivots, res.ILPI.WorkReduction,
-			res.ILPII.New.Nodes, res.ILPII.New.Pivots,
-			res.ILPII.Baseline.Nodes, res.ILPII.Baseline.Pivots, res.ILPII.WorkReduction)
+			res.ILPI.Nodes, res.ILPI.Pivots, res.ILPI.Work, res.ILPI.WorkCeiling,
+			res.ILPII.Nodes, res.ILPII.Pivots, res.ILPII.Work, res.ILPII.WorkCeiling)
 		fmt.Fprintf(os.Stderr, "%-10s  Dual  %5d nodes %7d pivots  fallback %.3f  pivots==0 %.3f (ILP-I %.3f, ILP-II %.3f)  %.2fx ns vs ILP-II\n",
 			res.Case,
 			res.Dual.Dual.Nodes, res.Dual.Dual.Pivots,
 			res.Dual.FallbackRate, res.Dual.Dual.Pivots0Fraction,
-			res.ILPI.New.Pivots0Fraction, res.ILPII.New.Pivots0Fraction,
+			res.ILPI.Pivots0Fraction, res.ILPII.Pivots0Fraction,
 			res.Dual.NSReductionII)
 	}
 
@@ -434,9 +385,9 @@ func main() {
 		fail("%v", err)
 	}
 
-	if *check && (doc.ILPIWorkReduction < 2 || doc.ILPIIWorkReduction < 2) {
-		fail("work reduction below 2x: ILP-I %.2fx, ILP-II %.2fx",
-			doc.ILPIWorkReduction, doc.ILPIIWorkReduction)
+	if *check && len(overCeiling) > 0 {
+		sort.Strings(overCeiling)
+		fail("work above ceiling: %s", strings.Join(overCeiling, "; "))
 	}
 	if *check && doc.DualNSReduction < 5 {
 		fail("DualAscent wall-time reduction over ILP-II below 5x: %.2fx", doc.DualNSReduction)

@@ -13,7 +13,6 @@ import (
 	"pilfill"
 	"pilfill/internal/core"
 	"pilfill/internal/density"
-	"pilfill/internal/ilp"
 	"pilfill/internal/layout"
 	"pilfill/internal/server"
 	"pilfill/internal/shard"
@@ -204,29 +203,17 @@ func PrepareChip(job ChipJob) (*Prep, error) {
 	}, nil
 }
 
-// engineConfig mirrors the worker's regionTask config so the reference run
-// solves under exactly the knobs a worker would use.
+// engineConfig is the reference run's engine config: the same
+// SubmitOptions → pilfill.Options → core.Config chain a worker's region job
+// uses, plus the chip's layer (tile offsets stay zero: the reference engine
+// sees the whole chip).
 func engineConfig(j *ChipJob) (core.Config, error) {
-	o := j.Options
-	if o.SlackDef == 0 {
-		o.SlackDef = 3
+	opts, err := j.Options.SessionOptions()
+	if err != nil {
+		return core.Config{}, fmt.Errorf("cluster: %w", err)
 	}
-	if o.SlackDef < 1 || o.SlackDef > 3 {
-		return core.Config{}, fmt.Errorf("cluster: slackdef %d out of range [1,3]", o.SlackDef)
-	}
-	cfg := core.Config{
-		Layer:       j.Layer,
-		Def:         pilfill.SlackDef(o.SlackDef),
-		Weighted:    o.Weighted,
-		Seed:        o.Seed,
-		NetCap:      o.NetCapPS * 1e-12,
-		Workers:     max(1, o.Workers),
-		Grounded:    o.Grounded,
-		NoSolveMemo: o.NoSolveMemo,
-	}
-	if o.ILPNodeLimit > 0 {
-		cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
-	}
+	cfg := opts.EngineConfig()
+	cfg.Layer = j.Layer
 	return cfg, nil
 }
 

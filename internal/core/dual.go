@@ -95,7 +95,7 @@ func dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap
 	pos := 0
 	for k := range in.Columns {
 		if err := ctx.Err(); err != nil {
-			sc.dualHullOut(hull)
+			sc.dualHull = hull
 			return false, err
 		}
 		cv := &in.Columns[k]
@@ -148,7 +148,7 @@ func dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap
 		}
 		pos += n + 1
 	}
-	sc.dualHullOut(hull)
+	sc.dualHull = hull
 
 	// Monotone dual ascent: pop the globally cheapest remaining hull
 	// marginal F times. Within a column the marginals are non-decreasing,
@@ -243,82 +243,40 @@ func dualCertify(ctx context.Context, a Assignment, in *Instance, netCap *NetCap
 // the B&B solution when the fallback ran (fallback = true). gapTol <= 0
 // selects DualGapTolDefault.
 func SolveDualAscent(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64) (Assignment, *ilp.Solution, bool, error) {
-	a, sol, st, err := solveDualFull(ctx, in, opts, netCap, gapTol)
-	return a, sol, st.dualFallback, err
-}
-
-// solveDualFull is SolveDualAscent also reporting the full per-tile solve
-// stats (nodes/pivots and incumbent-repair outcomes of the fallback), the
-// engine's unpooled dispatch path.
-func solveDualFull(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64) (Assignment, *ilp.Solution, solveStats, error) {
-	var st solveStats
-	if gapTol <= 0 {
-		gapTol = DualGapTolDefault
-	}
 	a := make(Assignment, len(in.Columns))
-	ok, err := dualCertify(ctx, a, in, netCap, gapTol, nil)
+	sol, st, err := NewSolveScratch().solveDual(ctx, in, copyOpts(opts), netCap, gapTol, a)
 	if err != nil {
-		return nil, nil, st, err
+		return nil, sol, st.dualFallback, err
 	}
-	if ok {
-		return a, nil, st, nil
-	}
-	st.dualFallback = true
-	a, sol, g, err := solveILPIIFull(in, opts, netCap)
-	if sol != nil {
-		st.nodes, st.pivots = sol.Nodes, sol.LPPivots
-	}
-	if g != nil {
-		st.incRepaired, st.incDropped = g.IncumbentRepaired, g.IncumbentDropped
-	}
-	return a, sol, st, err
+	return a, sol, st.dualFallback, nil
 }
 
-// solveDual is the DualAscent scratch fast path, mirroring solveILPI/
-// solveILPII: the assignment lands in the caller's zeroed slab slice and
-// every intermediate (hull arenas, heap, fallback program and searcher)
-// comes from the scratch, so the warm path allocates nothing. Results are
-// bit-identical to SolveDualAscent.
-func (sc *SolveScratch) solveDual(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64, a Assignment) (st solveStats, err error) {
+// solveDual is the DualAscent solve on sc, mirroring solveILPI/solveILPII:
+// the assignment lands in a (zeroed, length == columns) and every
+// intermediate (hull arenas, heap, fallback program and searcher) comes
+// from the scratch, so the warm path allocates nothing. sol is the
+// fallback's B&B solution, nil on the certificate path.
+func (sc *SolveScratch) solveDual(ctx context.Context, in *Instance, opts *ilp.Options, netCap *NetCap, gapTol float64, a Assignment) (*ilp.Solution, solveStats, error) {
 	if gapTol <= 0 {
 		gapTol = DualGapTolDefault
 	}
 	ok, err := dualCertify(ctx, a, in, netCap, gapTol, sc)
-	if err != nil {
-		return solveStats{}, err
+	if err != nil || ok {
+		return nil, solveStats{}, err
 	}
-	if ok {
-		return st, nil
-	}
-	st, err = sc.solveILPII(in, opts, netCap, a)
+	sol, st, err := sc.solveILPII(in, opts, netCap, a)
 	st.dualFallback = true
-	return st, err
+	return sol, st, err
 }
 
-// dualBuffers returns the dual-ascent arenas sized for this tile: the
-// per-unit marginal arena and hull-vertex flags (length total = Σ MaxM+1),
-// the per-column offsets into them, the hull-stack scratch, and the marginal
-// heap. Scratch-owned when sc is non-nil, freshly allocated otherwise;
-// contents are unspecified and fully overwritten per column.
+// dualBuffers returns the dual-ascent arenas sized for this tile from the
+// scratch: the per-unit marginal arena and hull-vertex flags (length total
+// = Σ MaxM+1), the per-column offsets into them, the hull-stack scratch,
+// and the marginal heap. Contents are unspecified and fully overwritten per
+// column.
 func (sc *SolveScratch) dualBuffers(total, kn int) ([]float64, []bool, []int, []int32, *marginalHeap) {
-	if sc == nil {
-		return make([]float64, total), make([]bool, total), make([]int, kn), nil, new(marginalHeap)
-	}
-	sc.dualMarg = growFloats(sc.dualMarg, total)
-	if cap(sc.dualVert) < total {
-		sc.dualVert = make([]bool, total)
-	}
-	sc.dualVert = sc.dualVert[:total]
-	if cap(sc.dualOff) < kn {
-		sc.dualOff = make([]int, kn)
-	}
-	sc.dualOff = sc.dualOff[:kn]
+	sc.dualMarg = grow(sc.dualMarg, total)
+	sc.dualVert = grow(sc.dualVert, total)
+	sc.dualOff = grow(sc.dualOff, kn)
 	return sc.dualMarg, sc.dualVert, sc.dualOff, sc.dualHull[:0], &sc.mheap
-}
-
-// dualHullOut stores the possibly-regrown hull stack back into the scratch.
-func (sc *SolveScratch) dualHullOut(hull []int32) {
-	if sc != nil {
-		sc.dualHull = hull
-	}
 }

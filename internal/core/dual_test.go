@@ -169,9 +169,9 @@ func TestDualCertifiesCapModelCurves(t *testing.T) {
 	}
 }
 
-// TestDualScratchPathMatchesUnpooled pins the zero-allocation scratch path
-// to the allocating one: same assignment, same fallback verdict, across a
-// scratch instance reused for every trial.
+// TestDualScratchPathMatchesUnpooled pins the warm scratch path to the
+// exported fresh-scratch SolveDualAscent: same assignment, same fallback
+// verdict, across a scratch instance reused for every trial.
 func TestDualScratchPathMatchesUnpooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sc := NewSolveScratch()
@@ -183,10 +183,9 @@ func TestDualScratchPathMatchesUnpooled(t *testing.T) {
 		}
 		ref, _, refFB, errR := SolveDualAscent(context.Background(), in, nil, nc, 0)
 		a := make(Assignment, len(in.Columns))
-		sc.opts = ilp.Options{}
-		st, err := sc.solveDual(context.Background(), in, &sc.opts, nc, 0, a)
+		_, st, err := sc.solveDual(context.Background(), in, &ilp.Options{}, nc, 0, a)
 		if (errR == nil) != (err == nil) {
-			t.Fatalf("trial %d: unpooled err %v, scratch err %v", trial, errR, err)
+			t.Fatalf("trial %d: fresh err %v, warm scratch err %v", trial, errR, err)
 		}
 		if err != nil {
 			continue
@@ -195,7 +194,7 @@ func TestDualScratchPathMatchesUnpooled(t *testing.T) {
 			t.Fatalf("trial %d: fallback %v vs %v", trial, st.dualFallback, refFB)
 		}
 		if !slices.Equal(a, ref) {
-			t.Fatalf("trial %d: scratch %v != unpooled %v", trial, a, ref)
+			t.Fatalf("trial %d: warm scratch %v != fresh %v", trial, a, ref)
 		}
 	}
 }
@@ -216,8 +215,7 @@ func TestDualAscentContextCancelled(t *testing.T) {
 	}
 	sc := NewSolveScratch()
 	a := make(Assignment, len(in.Columns))
-	sc.opts = ilp.Options{}
-	if _, err := sc.solveDual(ctx, in, &sc.opts, nil, 0, a); !errors.Is(err, context.Canceled) {
+	if _, _, err := sc.solveDual(ctx, in, &ilp.Options{}, nil, 0, a); !errors.Is(err, context.Canceled) {
 		t.Fatalf("scratch err = %v, want context.Canceled", err)
 	}
 	// The same instance still solves with a live context.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -97,12 +96,6 @@ type Config struct {
 	// tile-for-tile (internal/shard sets them; zero means the engine's grid
 	// is the chip's). They affect nothing but Normal's per-tile RNG seeds.
 	TileOffI, TileOffJ int
-	// NoSolvePool disables the per-worker SolveScratch pooling and the
-	// assignment slab, restoring the pre-pooling per-tile allocation
-	// behavior. Results are bit-identical either way; the switch exists so
-	// benchmarks (cmd/benchengine) and the pooling-equivalence tests can
-	// compare the two paths.
-	NoSolvePool bool
 	// Grounded models tied-to-ground fill instead of the paper's floating
 	// fill: heavier capacitive loading (cap.DeltaGrounded) in exchange for
 	// crosstalk shielding. Note the grounded cost curve has a step at the
@@ -125,7 +118,7 @@ type Config struct {
 	Memo *SolveMemo
 	// NoSolveMemo disables tile-solve memoization entirely (every tile is
 	// solved from scratch, the pre-memo behavior); used by benchmarks — the
-	// pooled-vs-unpooled allocation comparisons would otherwise measure memo
+	// solve-path allocation and timing figures would otherwise measure memo
 	// hits — and the memo-correctness tests.
 	NoSolveMemo bool
 	// Trace optionally records hierarchical spans (prep → analyze/extract,
@@ -457,13 +450,14 @@ type solveStats struct {
 
 // ilpOpts copies the configured branch-and-bound limits and, when the
 // context is cancellable, adds a per-node cancellation poll so an in-flight
-// ILP solve stops promptly instead of running to its node limit.
-func (e *Engine) ilpOpts(ctx context.Context) *ilp.Options {
+// ILP solve stops promptly instead of running to its node limit. Runs build
+// it once and copy it per tile, so the closure is one allocation per run.
+func (e *Engine) ilpOpts(ctx context.Context) ilp.Options {
 	opts := e.Cfg.ILPOpts
 	if ctx.Done() != nil {
 		opts.Cancel = func() bool { return ctx.Err() != nil }
 	}
-	return &opts
+	return opts
 }
 
 // addProgress wires the observability hook into opts: when tracing is on or
@@ -497,14 +491,6 @@ func (e *Engine) addProgress(ctx context.Context, opts *ilp.Options, in *Instanc
 	}
 }
 
-// solveOpts is ilpOpts plus addProgress — the per-tile options of the
-// unpooled solve path.
-func (e *Engine) solveOpts(ctx context.Context, in *Instance, lane int, parent obs.SpanID) *ilp.Options {
-	opts := e.ilpOpts(ctx)
-	e.addProgress(ctx, opts, in, lane, parent)
-	return opts
-}
-
 // normalSeed derives the Normal baseline's per-tile RNG seed from the tile's
 // chip-grid position (local index plus Config.TileOffI/J), so sharded region
 // engines draw the same randomness for a tile as the whole-chip engine.
@@ -513,87 +499,26 @@ func (e *Engine) normalSeed(in *Instance) int64 {
 	return e.Cfg.Seed ^ (i*1_000_003+j)*2_654_435_761
 }
 
-// solveInstance dispatches one tile to the chosen solver. The Normal
-// baseline derives its randomness from (Seed, I, J) so tiles can be solved
-// in any order — or concurrently — with identical results. A cancelled
-// context surfaces as the context's error; for the ILP methods the
-// branch-and-bound search itself is interrupted mid-tile.
-func (e *Engine) solveInstance(ctx context.Context, method Method, in *Instance, lane int, span obs.SpanID) (Assignment, solveStats, error) {
-	var st solveStats
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	switch method {
-	case Normal:
-		return SolveNormal(in, rand.New(rand.NewSource(e.normalSeed(in)))), st, nil
-	case Greedy:
-		return SolveGreedy(in), st, nil
-	case MarginalGreedy:
-		return SolveMarginalGreedy(in), st, nil
-	case GreedyCapped:
-		return e.solveGreedyCapped(in), st, nil
-	case DP:
-		a, err := SolveDPContext(ctx, in)
-		return a, st, err
-	case ILPI:
-		a, sol, err := SolveILPI(in, e.solveOpts(ctx, in, lane, span))
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, solveStats{}, ctxErr
-		}
-		if sol != nil {
-			st.nodes, st.pivots = sol.Nodes, sol.LPPivots
-		}
-		return a, st, err
-	case ILPII:
-		var nc *NetCap
-		if e.Cfg.NetCap > 0 {
-			nc = &NetCap{MaxAddedDelay: e.Cfg.NetCap}
-		}
-		a, sol, g, err := solveILPIIFull(in, e.solveOpts(ctx, in, lane, span), nc)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, solveStats{}, ctxErr
-		}
-		if sol != nil {
-			st.nodes, st.pivots = sol.Nodes, sol.LPPivots
-		}
-		if g != nil {
-			st.incRepaired, st.incDropped = g.IncumbentRepaired, g.IncumbentDropped
-		}
-		return a, st, err
-	case DualAscent:
-		var nc *NetCap
-		if e.Cfg.NetCap > 0 {
-			nc = &NetCap{MaxAddedDelay: e.Cfg.NetCap}
-		}
-		a, _, st, err := solveDualFull(ctx, in, e.solveOpts(ctx, in, lane, span), nc, e.dualGapTol())
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, solveStats{}, ctxErr
-		}
-		return a, st, err
-	default:
-		return nil, st, fmt.Errorf("core: unknown method %v", method)
-	}
-}
-
-// solveInstancePooled is solveInstance on the steady-state path: the
-// assignment lands in the caller's zeroed slab slice and every intermediate
+// solveTile dispatches one tile to the chosen solver, writing the
+// assignment into a (zeroed, length == columns). Every intermediate
 // (problem, incumbent, searcher nodes, sampler state) comes from the
-// worker's SolveScratch. base carries the run-wide ILP options (including
-// the hoisted Cancel closure) and nc the run-wide net cap; both are read-
-// only here. Results are bit-identical to solveInstance.
-func (e *Engine) solveInstancePooled(ctx context.Context, method Method, in *Instance, sc *SolveScratch,
+// worker's scratch; a fresh scratch gives bit-identical results. base
+// carries the run-wide ILP options (including the hoisted Cancel closure)
+// and nc the run-wide net cap (nil when unset); both are read-only here.
+// The Normal baseline derives its randomness from the tile position, so
+// tiles can be solved in any order — or concurrently — with identical
+// results. A cancelled context surfaces as the context's error; for the ILP
+// methods the branch-and-bound search itself is interrupted mid-tile.
+func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc *SolveScratch,
 	base *ilp.Options, nc *NetCap, a Assignment, lane int, span obs.SpanID) (solveStats, error) {
 	var st solveStats
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
+	var err error
 	switch method {
 	case Normal:
-		// Re-seeding reinitializes the rng's source exactly as
-		// rand.NewSource(seed) would, so the pooled sampler reproduces the
-		// unpooled per-tile rand.New sequence bit for bit.
-		sc.rng.Seed(e.normalSeed(in))
-		sc.slots = solveNormalInto(a, in, sc.rng, sc.slots)
+		sc.slots = solveNormalInto(a, in, sc.seededRNG(e.normalSeed(in)), sc.slots)
 		return st, nil
 	case Greedy:
 		sc.keys = solveGreedyInto(a, in, sc.keys)
@@ -602,38 +527,36 @@ func (e *Engine) solveInstancePooled(ctx context.Context, method Method, in *Ins
 		solveMarginalGreedyInto(a, in, &sc.mheap)
 		return st, nil
 	case GreedyCapped:
-		e.solveGreedyCappedInto(a, in, sc)
+		solveGreedyCappedInto(a, in, nc, sc)
 		return st, nil
 	case DP:
 		return st, solveDPInto(ctx, a, in, sc)
 	case ILPI:
-		sc.opts = *base
-		e.addProgress(ctx, &sc.opts, in, lane, span)
-		nodes, pivots, err := sc.solveILPI(in, &sc.opts, a)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return solveStats{}, ctxErr
+		var sol *ilp.Solution
+		sol, err = sc.solveILPI(in, e.tileOpts(ctx, sc, base, in, lane, span), a)
+		if sol != nil {
+			st.nodes, st.pivots = sol.Nodes, sol.LPPivots
 		}
-		st.nodes, st.pivots = nodes, pivots
-		return st, err
 	case ILPII:
-		sc.opts = *base
-		e.addProgress(ctx, &sc.opts, in, lane, span)
-		st, err := sc.solveILPII(in, &sc.opts, nc, a)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return solveStats{}, ctxErr
-		}
-		return st, err
+		_, st, err = sc.solveILPII(in, e.tileOpts(ctx, sc, base, in, lane, span), nc, a)
 	case DualAscent:
-		sc.opts = *base
-		e.addProgress(ctx, &sc.opts, in, lane, span)
-		st, err := sc.solveDual(ctx, in, &sc.opts, nc, e.dualGapTol(), a)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return solveStats{}, ctxErr
-		}
-		return st, err
+		_, st, err = sc.solveDual(ctx, in, e.tileOpts(ctx, sc, base, in, lane, span), nc, e.dualGapTol(), a)
 	default:
 		return st, fmt.Errorf("core: unknown method %v", method)
 	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return solveStats{}, ctxErr
+	}
+	return st, err
+}
+
+// tileOpts copies the run-wide ILP options into the scratch's per-tile slot
+// and wires up progress reporting for this tile.
+func (e *Engine) tileOpts(ctx context.Context, sc *SolveScratch, base *ilp.Options, in *Instance, lane int, span obs.SpanID) *ilp.Options {
+	b := sc.ilpBuffers()
+	b.opts = *base
+	e.addProgress(ctx, &b.opts, in, lane, span)
+	return &b.opts
 }
 
 // Run solves every instance with the chosen method and assembles the fill.
@@ -668,52 +591,36 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 	run.Arg("tiles", int64(len(instances)))
 	defer run.End()
 
-	type outcome struct {
-		a       Assignment
-		st      solveStats
-		memoHit bool
-		dur     time.Duration // this instance's solve time
-		err     error
+	outs := make([]tileOutcome, len(instances))
+	// One zeroed slab carved into per-tile assignment slices: a single
+	// allocation per run instead of one per tile.
+	totalCols := 0
+	for _, in := range instances {
+		totalCols += len(in.Columns)
 	}
-	outs := make([]outcome, len(instances))
+	slab := make([]int, totalCols)
+	off := 0
+	for i, in := range instances {
+		k := len(in.Columns)
+		outs[i].a = slab[off : off+k : off+k]
+		off += k
+	}
 
-	pooled := !e.Cfg.NoSolvePool
 	memo := e.memo
 	if memo != nil && !memoizable(method, &e.Cfg.ILPOpts) {
 		memo = nil
 	}
 	workers := par.Workers(e.Cfg.Workers, len(instances))
-	var scs []*SolveScratch
-	var baseOpts ilp.Options
-	var nc *NetCap
-	if pooled {
-		// One zeroed slab carved into per-tile assignment slices: a single
-		// allocation per run instead of one per tile.
-		totalCols := 0
-		for _, in := range instances {
-			totalCols += len(in.Columns)
-		}
-		slab := make([]int, totalCols)
-		off := 0
-		for i, in := range instances {
-			k := len(in.Columns)
-			outs[i].a = slab[off : off+k : off+k]
-			off += k
-		}
-		scs = e.getScratches(workers)
-		defer e.putScratches(scs)
-		baseOpts = e.Cfg.ILPOpts
-		if ctx.Done() != nil {
-			// One cancellation closure for the whole run, not one per tile.
-			baseOpts.Cancel = func() bool { return ctx.Err() != nil }
-		}
-		if e.Cfg.NetCap > 0 {
-			nc = &NetCap{MaxAddedDelay: e.Cfg.NetCap}
-		}
-	}
+	scs := e.getScratches(workers)
+	defer e.putScratches(scs)
+	// One cancellation closure and one net cap for the whole run, not one
+	// per tile.
+	baseOpts := e.ilpOpts(ctx)
+	nc := e.netCap()
 	fc := e.fingerprintConfig(method)
 	solveOne := func(worker, i int) {
 		in := instances[i]
+		sc := scs[worker]
 		lane := 1 + worker
 		tile := tr.Start("tile", "tile", lane, run.ID())
 		tile.Arg("i", int64(in.I))
@@ -725,27 +632,12 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 		hit := false
 		var key memoKey
 		if memo != nil {
-			// Fingerprint buffers come from the worker's scratch on the
-			// pooled path; the unpooled path allocates per tile (it exists
-			// for benchmarks and equivalence tests, not steady state).
-			var buf []byte
-			var netBuf []int
-			if pooled {
-				buf, netBuf = scs[worker].fpBuf, scs[worker].fpNets
-			}
-			key, buf, netBuf = fingerprintInstance(buf, netBuf, in, fc)
-			if pooled {
-				scs[worker].fpBuf, scs[worker].fpNets = buf, netBuf
-			}
+			key, sc.fpBuf, sc.fpNets = fingerprintInstance(sc.fpBuf, sc.fpNets, in, fc)
 			if ent := memo.lookup(key); ent != nil {
 				// Replay the cached solve: the assignment bytes and every
 				// deterministic by-product match what a fresh solve of this
 				// pattern produces, so downstream accounting is bit-identical.
-				if pooled {
-					copy(outs[i].a, ent.a)
-				} else {
-					outs[i].a = append([]int(nil), ent.a...)
-				}
+				copy(outs[i].a, ent.a)
 				st = solveStats{nodes: ent.nodes, pivots: ent.pivots,
 					incRepaired: ent.incRepaired, incDropped: ent.incDropped,
 					dualFallback: ent.dualFallback}
@@ -753,12 +645,7 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 			}
 		}
 		if !hit {
-			if pooled {
-				st, err = e.solveInstancePooled(ctx, method, in, scs[worker],
-					&baseOpts, nc, outs[i].a, lane, solve.ID())
-			} else {
-				outs[i].a, st, err = e.solveInstance(ctx, method, in, lane, solve.ID())
-			}
+			st, err = e.solveTile(ctx, method, in, sc, &baseOpts, nc, outs[i].a, lane, solve.ID())
 			if memo != nil && err == nil {
 				memo.store(key, outs[i].a, st)
 			}
@@ -792,23 +679,53 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 			solveOne(0, i)
 		}
 	}
+	if err := e.reduce(ctx, res, method, instances, outs, memo != nil); err != nil {
+		return nil, err
+	}
+	res.CPU = res.Phases.Solve
+	res.Wall = time.Since(start)
+	res.Phases.Preprocess = e.Prep.Total
+	return res, nil
+}
 
+// tileOutcome is one tile's solve as RunContext hands it to reduce.
+type tileOutcome struct {
+	a       Assignment
+	st      solveStats
+	memoHit bool
+	dur     time.Duration // this instance's solve time
+	err     error
+}
+
+// netCap is the run-wide uniform per-net cap, nil when Config.NetCap is
+// unset.
+func (e *Engine) netCap() *NetCap {
+	if e.Cfg.NetCap > 0 {
+		return &NetCap{MaxAddedDelay: e.Cfg.NetCap}
+	}
+	return nil
+}
+
+// reduce folds the solved tiles into res: search effort, memo and fallback
+// counters, objective, per-net attribution and fill geometry. countMemo
+// records memo hits and misses (false when the run bypassed the memo).
+func (e *Engine) reduce(ctx context.Context, res *Result, method Method, instances []*Instance, outs []tileOutcome, countMemo bool) error {
 	// Deterministic reduction in instance order: regardless of how the
-	// fan-out interleaved or reordered the solves above, every accumulation
-	// below walks instances[0..n) in sequence, so serial, parallel, and
-	// pooled runs produce bit-identical Results.
+	// fan-out interleaved or reordered the solves, every accumulation below
+	// walks instances[0..n) in sequence, so serial and parallel runs produce
+	// bit-identical Results.
 	var placeRows []int
 	for i, in := range instances {
 		o := outs[i]
 		if o.err != nil {
-			return nil, fmt.Errorf("core: tile (%d,%d): %w", in.I, in.J, o.err)
+			return fmt.Errorf("core: tile (%d,%d): %w", in.I, in.J, o.err)
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %v run interrupted: %w", method, err)
+			return fmt.Errorf("core: %v run interrupted: %w", method, err)
 		}
 		res.ILPNodes += o.st.nodes
 		res.LPPivots += o.st.pivots
-		if memo != nil {
+		if countMemo {
 			if o.memoHit {
 				res.MemoHits++
 			} else {
@@ -839,7 +756,7 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 		// Capped methods may under-place; everything else must hit F.
 		if method != GreedyCapped {
 			if err := in.Valid(o.a); err != nil {
-				return nil, fmt.Errorf("core: %v on tile (%d,%d): %w", method, in.I, in.J, err)
+				return fmt.Errorf("core: %v on tile (%d,%d): %w", method, in.I, in.J, err)
 			}
 		}
 		evalStart := time.Now()
@@ -854,19 +771,16 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 		}
 		res.Phases.Evaluate += time.Since(evalStart)
 		if err != nil {
-			return nil, fmt.Errorf("core: %v on tile (%d,%d): %w", method, in.I, in.J, err)
+			return fmt.Errorf("core: %v on tile (%d,%d): %w", method, in.I, in.J, err)
 		}
 		placeStart := time.Now()
 		err = e.place(res.Fill, in, o.a, &placeRows)
 		res.Phases.Place += time.Since(placeStart)
 		if err != nil {
-			return nil, fmt.Errorf("core: %v on tile (%d,%d): %w", method, in.I, in.J, err)
+			return fmt.Errorf("core: %v on tile (%d,%d): %w", method, in.I, in.J, err)
 		}
 	}
-	res.CPU = res.Phases.Solve
-	res.Wall = time.Since(start)
-	res.Phases.Preprocess = e.Prep.Total
-	return res, nil
+	return nil
 }
 
 // insertSlowTile inserts t into the slowest-first top-K list, keeping at
@@ -991,29 +905,23 @@ func (e *Engine) place(fs *layout.FillSet, in *Instance, a Assignment, rowBuf *[
 	return nil
 }
 
-// solveGreedyCapped runs the Fig 8 greedy with the footnote's safeguard: an
-// upper bound on each net's added delay. Columns are filled in cost order,
-// but the take is reduced so no bounding net exceeds the cap; the method may
-// therefore place fewer than F features.
-func (e *Engine) solveGreedyCapped(in *Instance) Assignment {
-	a := make(Assignment, len(in.Columns))
-	e.solveGreedyCappedInto(a, in, nil)
-	return a
-}
-
-// solveGreedyCappedInto is solveGreedyCapped writing into a zeroed
-// Assignment, sourcing the sort keys and per-net spend map from sc.
-func (e *Engine) solveGreedyCappedInto(a Assignment, in *Instance, sc *SolveScratch) {
-	capS := e.Cfg.NetCap
-	if capS <= 0 {
-		sc.keysOut(solveGreedyInto(a, in, sc.keysIn()))
+// solveGreedyCappedInto runs the Fig 8 greedy with the footnote's
+// safeguard, writing into a zeroed Assignment: an upper bound on each net's
+// added delay. Columns are filled in cost order, but the take is reduced so
+// no bounding net exceeds its ceiling nc.budgetFor(net), taken literally (a
+// zero budget admits no delay at all); the method may therefore place fewer
+// than F features. A nil nc is the plain greedy. Engine runs pass the
+// uniform Config.NetCap; RunBudgeted's infeasibility fallback passes its
+// per-net budgets.
+func solveGreedyCappedInto(a Assignment, in *Instance, nc *NetCap, sc *SolveScratch) {
+	if nc == nil {
+		sc.keys = solveGreedyInto(a, in, sc.keys)
 		return
 	}
-	keys := wholeColumnKeys(sc.keysIn(), in)
-	sc.keysOut(keys)
+	sc.keys = wholeColumnKeys(sc.keys, in)
 	spent := sc.spentMap()
 	remaining := in.F
-	for _, kd := range keys {
+	for _, kd := range sc.keys {
 		if remaining == 0 {
 			break
 		}
@@ -1027,8 +935,8 @@ func (e *Engine) solveGreedyCappedInto(a Assignment, in *Instance, sc *SolveScra
 			// the same per-net delay that Evaluate and PerNet report.
 			for take > 0 {
 				dc := cv.DeltaC[take]
-				okLow := cv.NetLow < 0 || spent[cv.NetLow]+dc*cv.REffLow <= capS
-				okHigh := cv.NetHigh < 0 || spent[cv.NetHigh]+dc*cv.REffHigh <= capS
+				okLow := cv.NetLow < 0 || spent[cv.NetLow]+dc*cv.REffLow <= nc.budgetFor(cv.NetLow)
+				okHigh := cv.NetHigh < 0 || spent[cv.NetHigh]+dc*cv.REffHigh <= nc.budgetFor(cv.NetHigh)
 				if okLow && okHigh {
 					break
 				}

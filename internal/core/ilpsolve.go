@@ -32,15 +32,14 @@ func normalize(v []float64, rhs *float64) {
 	}
 }
 
-// withIncumbent returns a copy of opts (never mutating the caller's) with
-// the incumbent installed. The solver validates the incumbent itself, so
-// heuristic assignments can be passed without re-checking.
-func withIncumbent(opts *ilp.Options, inc []float64) *ilp.Options {
+// copyOpts returns a private copy of opts (zero options for nil), which the
+// scratch solvers may then mutate (Incumbent, WarmStart) without touching
+// the caller's.
+func copyOpts(opts *ilp.Options) *ilp.Options {
 	var o ilp.Options
 	if opts != nil {
 		o = *opts
 	}
-	o.Incumbent = inc
 	return &o
 }
 
@@ -51,22 +50,19 @@ func withIncumbent(opts *ilp.Options, inc []float64) *ilp.Options {
 // this is in fact optimal, so the seeded search typically proves optimality
 // at the root node. Returns nils for trivial (empty) instances.
 func BuildILPI(in *Instance) (*ilp.Problem, []float64) {
-	return buildILPI(in, nil)
+	return buildILPI(in, NewSolveScratch())
 }
 
-// buildILPI is BuildILPI sourcing its slices from sc when non-nil; the
-// program it builds is identical either way (the scratch path runs the same
-// code over reused buffers).
+// buildILPI is BuildILPI sourcing every slice from sc; the program and
+// incumbent live in the scratch until its next build.
 func buildILPI(in *Instance, sc *SolveScratch) (*ilp.Problem, []float64) {
 	k := len(in.Columns)
 	if k == 0 || in.F == 0 {
 		return nil, nil
 	}
-	sc.resetRows()
-	p := sc.problem()
-	p.NumVars = k
-	p.Objective, p.VarTypes, p.Upper = sc.probBuffers(k)
-	sum := sc.newRow(k)
+	b := sc.ilpBuffers()
+	p := b.newProblem(k)
+	sum := b.newRow(k)
 	for i := range in.Columns {
 		p.Objective[i] = in.Columns[i].LinearSlope
 		p.VarTypes[i] = ilp.Integer
@@ -74,18 +70,20 @@ func buildILPI(in *Instance, sc *SolveScratch) (*ilp.Problem, []float64) {
 		sum[i] = 1
 	}
 	normalize(p.Objective, nil)
-	p.Constraints = append(sc.constraints(), lp.Constraint{Coeffs: sum, Op: lp.EQ, RHS: float64(in.F)})
-	sc.keepConstraints(p.Constraints)
+	p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: sum, Op: lp.EQ, RHS: float64(in.F)})
+	b.cons = p.Constraints
 
 	// Incumbent: cheapest-slope-first greedy (normalization preserves the
 	// order). Index tie-break keeps it deterministic; the (objective, index)
 	// key is a total order, so any sort yields the same permutation.
-	keys := sc.keysBuf(k)
+	sc.keys = grow(sc.keys, k)
+	keys := sc.keys
 	for i := range keys {
 		keys[i] = costKey{k: i, key: p.Objective[i]}
 	}
 	sortCostKeys(keys)
-	inc := sc.incBuf(k)
+	b.inc = growZero(b.inc, k)
+	inc := b.inc
 	remaining := in.F
 	for _, kd := range keys {
 		if remaining == 0 {
@@ -108,24 +106,20 @@ func buildILPI(in *Instance, sc *SolveScratch) (*ilp.Problem, []float64) {
 // the linear surrogate, and the resulting placement is then measured with
 // the exact model (sometimes losing even to Normal fill).
 func SolveILPI(in *Instance, opts *ilp.Options) (Assignment, *ilp.Solution, error) {
-	p, inc := BuildILPI(in)
-	if p == nil {
-		return make(Assignment, len(in.Columns)), &ilp.Solution{Status: ilp.Optimal}, nil
-	}
-	o := withIncumbent(opts, inc)
-	// The greedy incumbent IS the relaxation's optimal vertex for ILP-I's
-	// linear objective, so warm-starting the node LPs from it pays off.
-	o.WarmStart = true
-	sol, err := ilp.Solve(p, o)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: ILP-I: %w", err)
-	}
-	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
-		return nil, sol, fmt.Errorf("core: ILP-I: solver returned %v", sol.Status)
-	}
 	a := make(Assignment, len(in.Columns))
-	for i := range a {
-		a[i] = int(sol.X[i] + 0.5)
+	sol, err := NewSolveScratch().solveILPI(in, copyOpts(opts), a)
+	return solved(a, sol, err)
+}
+
+// solved shapes a fresh-scratch solve for the exported wrappers: the
+// assignment only on success, and a trivially Optimal solution for empty
+// instances (which never reach the searcher).
+func solved(a Assignment, sol *ilp.Solution, err error) (Assignment, *ilp.Solution, error) {
+	if err != nil {
+		return nil, sol, err
+	}
+	if sol == nil {
+		sol = &ilp.Solution{Status: ilp.Optimal}
 	}
 	return a, sol, nil
 }
@@ -238,22 +232,21 @@ func (g *ILPIIProgram) encodeInto(x []float64, a Assignment) {
 // total added unweighted delay inside the tile. Returns nil for trivial
 // (empty) instances.
 func BuildILPII(in *Instance, netCap *NetCap) *ILPIIProgram {
-	return buildILPII(in, netCap, nil)
+	return buildILPII(in, netCap, NewSolveScratch())
 }
 
-// buildILPII is BuildILPII sourcing its slices from sc when non-nil; the
-// program it builds is identical either way (the scratch path runs the same
-// code over reused buffers, and both paths emit the per-net cap rows in
-// ascending net order).
+// buildILPII is BuildILPII sourcing every slice from sc; the program lives
+// in the scratch until its next build.
 func buildILPII(in *Instance, netCap *NetCap, sc *SolveScratch) *ILPIIProgram {
 	k := len(in.Columns)
 	if k == 0 || in.F == 0 {
 		return nil
 	}
-	sc.resetRows()
 	// Variable layout: first the binary expansions of costed columns, then
 	// one integer per free column.
-	vars := sc.varsBuf(k)
+	b := sc.ilpBuffers()
+	b.vars = grow(b.vars, k)
+	vars := b.vars
 	nv := 0
 	for i := range in.Columns {
 		cv := &in.Columns[i]
@@ -265,11 +258,9 @@ func buildILPII(in *Instance, netCap *NetCap, sc *SolveScratch) *ILPIIProgram {
 			nv += cv.MaxM + 1
 		}
 	}
-	p := sc.problem()
-	p.NumVars = nv
-	p.Objective, p.VarTypes, p.Upper = sc.probBuffers(nv)
-	cons := sc.constraints()
-	fillRow := sc.newRow(nv)
+	p := b.newProblem(nv)
+	cons := p.Constraints
+	fillRow := b.newRow(nv)
 	for i := range in.Columns {
 		cv := &in.Columns[i]
 		v := vars[i]
@@ -279,7 +270,7 @@ func buildILPII(in *Instance, netCap *NetCap, sc *SolveScratch) *ILPIIProgram {
 			fillRow[v.base] = 1
 			continue
 		}
-		oneRow := sc.newRow(v.base + v.count)
+		oneRow := b.newRow(v.base + v.count)
 		for n := 0; n <= cv.MaxM; n++ {
 			j := v.base + n
 			// Declared Integer with a native upper bound of 1 (equivalent to
@@ -300,7 +291,7 @@ func buildILPII(in *Instance, netCap *NetCap, sc *SolveScratch) *ILPIIProgram {
 		// Per-net rows: Σ_k Σ_n ΔC_k(n)·sf·R_l(x_k)·m_{k,n} <= cap. The
 		// switch-factor-scaled resistances keep the bound consistent with
 		// the per-net delays Evaluate and Result.PerNet report.
-		rows := sc.netRowsBuf()
+		rows := b.netRowsBuf()
 		for i := range in.Columns {
 			cv := &in.Columns[i]
 			v := vars[i]
@@ -313,7 +304,7 @@ func buildILPII(in *Instance, netCap *NetCap, sc *SolveScratch) *ILPIIProgram {
 				}
 				row := rows[net]
 				if row == nil {
-					row = sc.newRow(nv)
+					row = b.newRow(nv)
 					rows[net] = row
 				}
 				for n := 1; n <= cv.MaxM; n++ {
@@ -326,7 +317,7 @@ func buildILPII(in *Instance, netCap *NetCap, sc *SolveScratch) *ILPIIProgram {
 		// Ascending net order keeps the constraint order — and therefore the
 		// branch-and-bound trajectory — identical run to run (map iteration
 		// order is randomized).
-		for _, net := range sc.sortedNets(rows) {
+		for _, net := range b.sortedNets(rows) {
 			row := rows[net]
 			rhs := netCap.budgetFor(net)
 			if rhs <= 0 {
@@ -337,24 +328,13 @@ func buildILPII(in *Instance, netCap *NetCap, sc *SolveScratch) *ILPIIProgram {
 		}
 	}
 	p.Constraints = cons
-	sc.keepConstraints(cons)
+	b.cons = cons
 
-	var g *ILPIIProgram
-	if sc != nil {
-		sc.prog = ILPIIProgram{P: p, vars: vars, k: k}
-		g = &sc.prog
-	} else {
-		g = &ILPIIProgram{P: p, vars: vars, k: k}
-	}
-	ainc := sc.assignBuf(k)
-	// Branch rather than hand out a local fallback pointer: taking the
-	// local's address unconditionally would make it escape on every call.
-	if sc != nil {
-		solveMarginalGreedyInto(ainc, in, &sc.mheap)
-	} else {
-		var h marginalHeap
-		solveMarginalGreedyInto(ainc, in, &h)
-	}
+	b.prog = ILPIIProgram{P: p, vars: vars, k: k}
+	g := &b.prog
+	b.tmpA = growZero(b.tmpA, k)
+	ainc := b.tmpA
+	solveMarginalGreedyInto(ainc, in, &sc.mheap)
 	if netCap != nil && (netCap.MaxAddedDelay > 0 || netCap.PerNet != nil) {
 		repaired, ok := repairIncumbent(in, netCap, ainc, sc)
 		g.IncumbentRepaired = repaired && ok
@@ -363,7 +343,8 @@ func buildILPII(in *Instance, netCap *NetCap, sc *SolveScratch) *ILPIIProgram {
 			return g
 		}
 	}
-	x := sc.incBuf(nv)
+	b.inc = growZero(b.inc, nv)
+	x := b.inc
 	g.encodeInto(x, ainc)
 	g.Incumbent = x
 	return g
@@ -371,14 +352,14 @@ func buildILPII(in *Instance, netCap *NetCap, sc *SolveScratch) *ILPIIProgram {
 
 // repairIncumbent makes a heuristic assignment feasible under the per-net
 // delay caps while keeping Σm = F, so the warm start survives exactly on the
-// capped instances where it matters most. The repair is deterministic (and
-// identical on the pooled and unpooled paths): while any capped net is over
-// budget, the contributing feature with the highest marginal objective cost
-// is removed (lowest column index on ties); the resulting deficit is then
-// refilled one feature at a time into the cheapest column with headroom
-// whose addition keeps every capped net within budget. Returns repaired =
-// true when the assignment was modified and ok = false when the fill total
-// cannot be restored within the caps (the caller then drops the incumbent).
+// capped instances where it matters most. The repair is deterministic:
+// while any capped net is over budget, the contributing feature with the
+// highest marginal objective cost is removed (lowest column index on ties);
+// the resulting deficit is then refilled one feature at a time into the
+// cheapest column with headroom whose addition keeps every capped net within
+// budget. Returns repaired = true when the assignment was modified and ok =
+// false when the fill total cannot be restored within the caps (the caller
+// then drops the incumbent).
 func repairIncumbent(in *Instance, netCap *NetCap, a Assignment, sc *SolveScratch) (repaired, ok bool) {
 	// Per-net spend under the same raw (un-normalized) delay terms the cap
 	// rows encode: Σ ΔC_k(m_k)·sf·R_l. The solver checks the normalized rows
@@ -406,7 +387,8 @@ func repairIncumbent(in *Instance, netCap *NetCap, a Assignment, sc *SolveScratc
 	// column's two bounding nets on each shed pass. Scanning the ascending
 	// list and stopping at the first over-budget entry picks the same
 	// minimum-index over-budget net the per-column scan did.
-	nets := sc.repairNetsBuf()
+	b := sc.ilpBuffers()
+	nets := b.repairNets[:0]
 	for k := range in.Columns {
 		cv := &in.Columns[k]
 		if capped(cv.NetLow) {
@@ -416,7 +398,7 @@ func repairIncumbent(in *Instance, netCap *NetCap, a Assignment, sc *SolveScratc
 			nets = appendNetOnce(nets, cv.NetHigh)
 		}
 	}
-	sc.repairNetsOut(nets)
+	b.repairNets = nets
 	overNet := func() int {
 		for _, net := range nets {
 			if spend[net] > netCap.budgetFor(net) {
@@ -498,73 +480,59 @@ func repairIncumbent(in *Instance, netCap *NetCap, a Assignment, sc *SolveScratc
 // SolveILPII is the paper's ILP-II: BuildILPII's program solved to proven
 // optimality, warm-started with the (cap-repaired) marginal-greedy incumbent.
 func SolveILPII(in *Instance, opts *ilp.Options, netCap *NetCap) (Assignment, *ilp.Solution, error) {
-	a, sol, _, err := solveILPIIFull(in, opts, netCap)
-	return a, sol, err
-}
-
-// solveILPIIFull is SolveILPII also returning the built program, so callers
-// accounting for warm-start repairs (Engine runs) can read
-// IncumbentRepaired/IncumbentDropped; g is nil for trivial instances.
-func solveILPIIFull(in *Instance, opts *ilp.Options, netCap *NetCap) (Assignment, *ilp.Solution, *ILPIIProgram, error) {
-	g := BuildILPII(in, netCap)
-	if g == nil {
-		return make(Assignment, len(in.Columns)), &ilp.Solution{Status: ilp.Optimal}, nil, nil
-	}
-	sol, err := ilp.Solve(g.P, withIncumbent(opts, g.Incumbent))
-	if err != nil {
-		return nil, nil, g, fmt.Errorf("core: ILP-II: %w", err)
-	}
-	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
-		return nil, sol, g, fmt.Errorf("core: ILP-II: solver returned %v", sol.Status)
-	}
-	return g.Decode(sol.X), sol, g, nil
+	a := make(Assignment, len(in.Columns))
+	sol, _, err := NewSolveScratch().solveILPII(in, copyOpts(opts), netCap, a)
+	return solved(a, sol, err)
 }
 
 // solveILPI solves ILP-I on the scratch's searcher, writing the assignment
 // into a (zeroed, length == columns). opts is mutated (Incumbent/WarmStart)
-// — it is the scratch's per-tile options copy. Error messages and
-// node/pivot accounting match SolveILPI exactly.
-func (sc *SolveScratch) solveILPI(in *Instance, opts *ilp.Options, a Assignment) (nodes, pivots int, err error) {
+// — it is the caller's private copy. sol is nil for trivial instances and
+// when the searcher itself fails.
+func (sc *SolveScratch) solveILPI(in *Instance, opts *ilp.Options, a Assignment) (*ilp.Solution, error) {
 	p, inc := buildILPI(in, sc)
 	if p == nil {
-		return 0, 0, nil
+		return nil, nil
 	}
 	opts.Incumbent = inc
 	// The greedy incumbent IS the relaxation's optimal vertex for ILP-I's
 	// linear objective, so warm-starting the node LPs from it pays off.
 	opts.WarmStart = true
-	sol, err := sc.searcher.Solve(p, opts)
+	sol, err := sc.ilpBuf.searcher.Solve(p, opts)
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: ILP-I: %w", err)
+		return nil, fmt.Errorf("core: ILP-I: %w", err)
 	}
 	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
-		return sol.Nodes, sol.LPPivots, fmt.Errorf("core: ILP-I: solver returned %v", sol.Status)
+		return sol, fmt.Errorf("core: ILP-I: solver returned %v", sol.Status)
 	}
 	for i := range a {
 		a[i] = int(sol.X[i] + 0.5)
 	}
-	return sol.Nodes, sol.LPPivots, nil
+	return sol, nil
 }
 
 // solveILPII solves ILP-II on the scratch's searcher, writing the assignment
-// into a (zeroed, length == columns). Error messages, node/pivot and
-// incumbent-repair accounting match SolveILPII/solveILPIIFull exactly.
-func (sc *SolveScratch) solveILPII(in *Instance, opts *ilp.Options, netCap *NetCap, a Assignment) (st solveStats, err error) {
+// into a (zeroed, length == columns). opts is mutated (Incumbent) — it is
+// the caller's private copy. st carries the node/pivot and incumbent-repair
+// accounting (the repair outcome even when the solve fails); sol is nil for
+// trivial instances and when the searcher itself fails.
+func (sc *SolveScratch) solveILPII(in *Instance, opts *ilp.Options, netCap *NetCap, a Assignment) (*ilp.Solution, solveStats, error) {
+	var st solveStats
 	g := buildILPII(in, netCap, sc)
 	if g == nil {
-		return st, nil
+		return nil, st, nil
 	}
 	st.incRepaired = g.IncumbentRepaired
 	st.incDropped = g.IncumbentDropped
 	opts.Incumbent = g.Incumbent
-	sol, err := sc.searcher.Solve(g.P, opts)
+	sol, err := sc.ilpBuf.searcher.Solve(g.P, opts)
 	if err != nil {
-		return solveStats{}, fmt.Errorf("core: ILP-II: %w", err)
+		return nil, st, fmt.Errorf("core: ILP-II: %w", err)
 	}
 	st.nodes, st.pivots = sol.Nodes, sol.LPPivots
 	if sol.Status != ilp.Optimal && sol.Status != ilp.Feasible {
-		return st, fmt.Errorf("core: ILP-II: solver returned %v", sol.Status)
+		return sol, st, fmt.Errorf("core: ILP-II: solver returned %v", sol.Status)
 	}
 	g.decodeInto(a, sol.X)
-	return st, nil
+	return sol, st, nil
 }

@@ -166,11 +166,9 @@ func TestMemoOnOffBitIdentical(t *testing.T) {
 	}
 	off := newEng(Config{Layer: 0, Seed: 42, NoSolveMemo: true})
 	on := newEng(Config{Layer: 0, Seed: 42, Memo: NewSolveMemo()})
-	pooledOff := newEng(Config{Layer: 0, Seed: 42, NoSolveMemo: true, NoSolvePool: true})
 	_, budget := buildEngine(t, false, scanline.DefIII)
 	insOff := mustInstances(t, off, budget)
 	insOn := mustInstances(t, on, budget)
-	insPO := mustInstances(t, pooledOff, budget)
 	for _, m := range []Method{Greedy, ILPI, ILPII, DP, MarginalGreedy, GreedyCapped, DualAscent} {
 		rOff, err := off.Run(m, insOff)
 		if err != nil {
@@ -191,11 +189,6 @@ func TestMemoOnOffBitIdentical(t *testing.T) {
 					m, pass, rOff.ILPNodes, rOn.ILPNodes, rOff.LPPivots, rOn.LPPivots)
 			}
 		}
-		rPO, err := pooledOff.Run(m, insPO)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsIdentical(t, rOff, rPO, m.String()+"/unpooled-memo-off")
 	}
 }
 

@@ -277,30 +277,35 @@ func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, 
 		PerNet: make([]float64, len(e.L.Nets)),
 	}
 	start := time.Now()
+	scs := e.getScratches(1)
+	defer e.putScratches(scs)
+	sc := scs[0]
+	opts := &sc.ilpBuffers().opts
+	base := e.ilpOpts(ctx)
+	nc := &NetCap{PerNet: perTile}
 	for _, in := range instances {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: budgeted run interrupted: %w", err)
 		}
 		solveStart := time.Now()
-		a, sol, g, err := solveILPIIFull(in, e.ilpOpts(ctx), &NetCap{PerNet: perTile})
-		if sol != nil {
-			res.ILPNodes += sol.Nodes
-			res.LPPivots += sol.LPPivots
+		a := make(Assignment, len(in.Columns))
+		*opts = base
+		_, st, err := sc.solveILPII(in, opts, nc, a)
+		res.ILPNodes += st.nodes
+		res.LPPivots += st.pivots
+		if st.incRepaired {
+			res.IncumbentsRepaired++
 		}
-		if g != nil {
-			if g.IncumbentRepaired {
-				res.IncumbentsRepaired++
-			}
-			if g.IncumbentDropped {
-				res.IncumbentsDropped++
-			}
+		if st.incDropped {
+			res.IncumbentsDropped++
 		}
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, fmt.Errorf("core: budgeted run interrupted: %w", ctxErr)
 		}
 		if err != nil {
-			// Infeasible under the caps: place what fits greedily.
-			a = e.greedyUnderPerNetCaps(in, perTile)
+			// Infeasible under the caps: place what fits greedily (a is
+			// still zero; solveILPII writes it only on success).
+			solveGreedyCappedInto(a, in, nc, sc)
 		}
 		res.Phases.Solve += time.Since(solveStart)
 		placed := 0
@@ -333,60 +338,4 @@ func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, 
 	res.Wall = time.Since(start)
 	res.Phases.Preprocess = e.Prep.Total
 	return res, nil
-}
-
-// greedyUnderPerNetCaps is solveGreedyCapped with per-net budgets.
-func (e *Engine) greedyUnderPerNetCaps(in *Instance, perTile []float64) Assignment {
-	type keyed struct {
-		k   int
-		key float64
-	}
-	keys := make([]keyed, len(in.Columns))
-	for k := range in.Columns {
-		cv := &in.Columns[k]
-		keys[k] = keyed{k: k, key: cv.costAt(cv.MaxM)}
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].key != keys[b].key {
-			return keys[a].key < keys[b].key
-		}
-		return keys[a].k < keys[b].k
-	})
-	spent := map[int]float64{}
-	a := make(Assignment, len(in.Columns))
-	remaining := in.F
-	for _, kd := range keys {
-		if remaining == 0 {
-			break
-		}
-		cv := &in.Columns[kd.k]
-		take := cv.MaxM
-		if take > remaining {
-			take = remaining
-		}
-		if cv.DeltaC != nil {
-			// Switch-factor-scaled, matching Evaluate/PerNet accounting.
-			for take > 0 {
-				dc := cv.DeltaC[take]
-				okLow := cv.NetLow < 0 || spent[cv.NetLow]+dc*cv.REffLow <= perTile[cv.NetLow]
-				okHigh := cv.NetHigh < 0 || spent[cv.NetHigh]+dc*cv.REffHigh <= perTile[cv.NetHigh]
-				if okLow && okHigh {
-					break
-				}
-				take--
-			}
-			if take > 0 {
-				dc := cv.DeltaC[take]
-				if cv.NetLow >= 0 {
-					spent[cv.NetLow] += dc * cv.REffLow
-				}
-				if cv.NetHigh >= 0 {
-					spent[cv.NetHigh] += dc * cv.REffHigh
-				}
-			}
-		}
-		a[kd.k] = take
-		remaining -= take
-	}
-	return a
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -207,5 +208,64 @@ func TestRunBudgeted(t *testing.T) {
 	// Mismatched length errors.
 	if _, err := eng.RunBudgeted(instances, []float64{1}); err == nil {
 		t.Error("short budget vector accepted")
+	}
+}
+
+// TestCappedGreedyPerNetCeilings pins the one capped greedy that serves
+// both GreedyCapped (a uniform cap) and RunBudgeted's infeasibility
+// fallback (per-net budgets): every net's added delay stays within its own
+// budget taken literally (a zero budget admits no delay), uniform per-net
+// budgets place exactly what the uniform cap places, and budgets nothing
+// can reach place exactly what the plain greedy does.
+func TestCappedGreedyPerNetCeilings(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sc := NewSolveScratch()
+	for trial := 0; trial < 300; trial++ {
+		in := synthInstance(rng, 1+rng.Intn(10))
+		perNet := make([]float64, 3)
+		for n := range perNet {
+			switch rng.Intn(3) {
+			case 0: // zero budget: the net may take no delay at all
+			case 1:
+				perNet[n] = 1e-16 * rng.Float64()
+			default:
+				perNet[n] = 1e-12 * rng.Float64()
+			}
+		}
+		a := make(Assignment, len(in.Columns))
+		solveGreedyCappedInto(a, in, &NetCap{PerNet: perNet}, sc)
+		if placedTotal(a) > in.F {
+			t.Fatalf("trial %d: placed %d > F %d", trial, placedTotal(a), in.F)
+		}
+		spent := make([]float64, len(perNet))
+		for k, m := range a {
+			cv := &in.Columns[k]
+			if m > cv.MaxM {
+				t.Fatalf("trial %d: column %d takes %d > MaxM %d", trial, k, m, cv.MaxM)
+			}
+			if m > 0 && cv.NetLow >= 0 {
+				spent[cv.NetLow] += cv.DeltaC[m] * cv.REffLow
+			}
+		}
+		for n, s := range spent {
+			if s > perNet[n] {
+				t.Fatalf("trial %d: net %d spends %g over its budget %g", trial, n, s, perNet[n])
+			}
+		}
+
+		uniform := 1e-15 * rng.Float64()
+		aPer := make(Assignment, len(in.Columns))
+		solveGreedyCappedInto(aPer, in, &NetCap{PerNet: []float64{uniform, uniform, uniform}}, sc)
+		aUni := make(Assignment, len(in.Columns))
+		solveGreedyCappedInto(aUni, in, &NetCap{MaxAddedDelay: uniform}, sc)
+		if !slices.Equal(aPer, aUni) {
+			t.Fatalf("trial %d: uniform per-net budgets %v != uniform cap %v", trial, aPer, aUni)
+		}
+
+		aLoose := make(Assignment, len(in.Columns))
+		solveGreedyCappedInto(aLoose, in, &NetCap{PerNet: []float64{1, 1, 1}}, sc)
+		if want := SolveGreedy(in); !slices.Equal(aLoose, want) {
+			t.Fatalf("trial %d: unreachable budgets %v != plain greedy %v", trial, aLoose, want)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"pilfill/internal/layout"
 	"pilfill/internal/scanline"
 )
 
@@ -44,29 +46,48 @@ func requireResultsIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// freshScratchRun is the reference for the pooled run path: every tile is
+// solved on its own fresh SolveScratch (nothing warm, nothing shared, no
+// memo), then folded through the same reduction RunContext uses.
+func freshScratchRun(t *testing.T, eng *Engine, m Method, instances []*Instance) *Result {
+	t.Helper()
+	ctx := context.Background()
+	base := eng.ilpOpts(ctx)
+	outs := make([]tileOutcome, len(instances))
+	for i, in := range instances {
+		outs[i].a = make(Assignment, len(in.Columns))
+		outs[i].st, outs[i].err = eng.solveTile(ctx, m, in, NewSolveScratch(), &base, eng.netCap(), outs[i].a, 0, 0)
+	}
+	res := &Result{
+		Method: m,
+		Fill:   &layout.FillSet{Grid: eng.Grid, Layer: eng.Cfg.Layer},
+		PerNet: make([]float64, len(eng.L.Nets)),
+	}
+	if err := eng.reduce(ctx, res, m, instances, outs, false); err != nil {
+		t.Fatalf("%v fresh-scratch reference: %v", m, err)
+	}
+	return res
+}
+
 // TestPooledMatchesUnpooled is the central equivalence guarantee of the
-// zero-allocation path: for every method, the pooled solve path (scratch
-// buffers, assignment slab, reused searcher) produces results bit-identical
-// to the allocating path, serial and parallel alike.
+// zero-allocation path: for every method, Engine.Run on warm, reused worker
+// scratches (assignment slab, reused searcher, pooled buffers) produces
+// results bit-identical to solving each tile on a fresh scratch, serial and
+// parallel alike.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	eng, budget := buildEngine(t, false, scanline.DefIII)
 	eng.Cfg.NetCap = 1e-13 // give GreedyCapped a binding cap to exercise
+	eng.memo = nil         // compare solves, not memo replays
 	instances := mustInstances(t, eng, budget)
 	if len(instances) == 0 {
 		t.Fatal("no instances")
 	}
 	for _, m := range allMethods {
-		eng.Cfg.NoSolvePool = true
-		eng.Cfg.Workers = 0
-		ref, err := eng.Run(m, instances)
-		if err != nil {
-			t.Fatalf("%v unpooled: %v", m, err)
-		}
+		ref := freshScratchRun(t, eng, m, instances)
 		for _, workers := range []int{0, 4} {
-			eng.Cfg.NoSolvePool = false
 			eng.Cfg.Workers = workers
-			// Two pooled runs back to back: the second reuses every warmed
-			// buffer, so it also proves reuse does not leak state across runs.
+			// Two runs back to back: the second reuses every warmed buffer,
+			// so it also proves reuse does not leak state across runs.
 			for pass := 0; pass < 2; pass++ {
 				got, err := eng.Run(m, instances)
 				if err != nil {
@@ -76,7 +97,6 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 			}
 		}
 		eng.Cfg.Workers = 0
-		eng.Cfg.NoSolvePool = false
 	}
 }
 

@@ -20,34 +20,19 @@ import (
 // goroutines ever share one. Everything built in a scratch (problems,
 // incumbents, solutions) is overwritten by the next tile solved on it.
 //
-// Buffer reuse never changes results: the builders run the same code as the
-// allocating BuildILPI/BuildILPII/Solve* paths, only sourcing their slices
-// from the scratch, so pooled and unpooled runs are bit-identical.
+// The exported allocating entry points (Solve*, BuildILPI, BuildILPII) run
+// the same code on a fresh scratch, and buffer reuse never changes results:
+// a tile solved on a warm scratch is bit-identical to one solved on a fresh
+// scratch.
 type SolveScratch struct {
-	searcher ilp.Searcher
-	opts     ilp.Options // per-tile options copy (Incumbent/Progress wiring)
-
-	// ILP problem-builder buffers.
-	prob     ilp.Problem
-	prog     ILPIIProgram
-	obj      []float64
-	vts      []ilp.VarType
-	upper    []float64
-	cons     []lp.Constraint
-	rowArena []float64 // backing storage for constraint rows, reset per tile
-	inc      []float64 // incumbent vector
-	vars     []ilpiiVars
-	netRows  map[int][]float64
-	netKeys  []int
-	tmpA     Assignment // ILP-II incumbent assignment
+	ilpBuf *ilpScratch // ILP builders and searcher, created on first use
 
 	// Heuristic-solver buffers.
-	keys       []costKey
-	mheap      marginalHeap
-	slots      []int
-	spent      map[int]float64
-	repairNets []int // repairIncumbent's distinct capped-net list
-	rng        *rand.Rand
+	keys  []costKey
+	mheap marginalHeap
+	slots []int
+	spent map[int]float64
+	rng   *rand.Rand
 
 	// DP buffers.
 	dpA, dpB    []float64
@@ -68,214 +53,122 @@ type SolveScratch struct {
 	fpNets []int
 }
 
-// NewSolveScratch returns an empty scratch; buffers grow on first use.
-func NewSolveScratch() *SolveScratch {
-	return &SolveScratch{rng: rand.New(rand.NewSource(0))}
+// ilpScratch holds the ILP-I/ILP-II problem-builder buffers and the
+// branch-and-bound searcher (about 1.5 KB before any buffer grows). A
+// SolveScratch creates it on first use, so the fresh scratches behind the
+// exported wrappers stay small when they never reach an ILP — as in
+// SolveDualAscent on a certified tile.
+type ilpScratch struct {
+	searcher   ilp.Searcher
+	opts       ilp.Options // per-tile options copy (Incumbent/Progress wiring)
+	prob       ilp.Problem
+	prog       ILPIIProgram
+	obj        []float64
+	vts        []ilp.VarType
+	upper      []float64
+	cons       []lp.Constraint
+	rowArena   []float64 // backing storage for constraint rows, reset per tile
+	inc        []float64 // incumbent vector
+	vars       []ilpiiVars
+	netRows    map[int][]float64
+	netKeys    []int
+	tmpA       Assignment // ILP-II incumbent assignment
+	repairNets []int      // repairIncumbent's distinct capped-net list
 }
 
-// growFloats returns s resized to n entries, reusing capacity. Contents are
+// NewSolveScratch returns an empty scratch; buffers, the ILP builders and
+// Normal's rng are created on first use, so a fresh scratch for a single
+// solve stays cheap.
+func NewSolveScratch() *SolveScratch { return &SolveScratch{} }
+
+// ilpBuffers returns the scratch's ILP builder buffers, creating them on
+// first use.
+func (sc *SolveScratch) ilpBuffers() *ilpScratch {
+	if sc.ilpBuf == nil {
+		sc.ilpBuf = new(ilpScratch)
+	}
+	return sc.ilpBuf
+}
+
+// seededRNG returns the scratch's rng seeded with seed, creating it on first
+// use. Re-seeding reinitializes the source exactly as rand.NewSource(seed)
+// would, so a warm scratch draws the same sequence as a fresh rand.New.
+func (sc *SolveScratch) seededRNG(seed int64) *rand.Rand {
+	if sc.rng == nil {
+		sc.rng = rand.New(rand.NewSource(seed))
+	} else {
+		sc.rng.Seed(seed)
+	}
+	return sc.rng
+}
+
+// grow returns s resized to n entries, reusing capacity. Contents are
 // unspecified — callers must overwrite every entry.
-func growFloats(s []float64, n int) []float64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// growZeroFloats is growFloats with every entry zeroed.
-func growZeroFloats(s []float64, n int) []float64 {
-	s = growFloats(s, n)
-	for i := range s {
-		s[i] = 0
-	}
+// growZero is grow with every entry zeroed.
+func growZero[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
 	return s
 }
 
-// resetRows restarts the constraint-row arena for a new tile. Nil-safe.
-func (sc *SolveScratch) resetRows() {
-	if sc != nil {
-		sc.rowArena = sc.rowArena[:0]
-	}
-}
-
-// newRow returns a zeroed coefficient row of length n. With a scratch it is
-// carved from the row arena (rows already carved keep their old backing when
-// the arena has to grow, so they stay valid); without one it is a fresh
-// allocation.
-func (sc *SolveScratch) newRow(n int) []float64 {
-	if sc == nil {
-		return make([]float64, n)
-	}
-	old := len(sc.rowArena)
-	if cap(sc.rowArena)-old < n {
-		sc.rowArena = make([]float64, 0, 2*(cap(sc.rowArena)+n))
+// newRow returns a zeroed coefficient row of length n carved from the row
+// arena (rows already carved keep their old backing when the arena has to
+// grow, so they stay valid). buildILPI/buildILPII restart the arena per tile.
+func (b *ilpScratch) newRow(n int) []float64 {
+	old := len(b.rowArena)
+	if cap(b.rowArena)-old < n {
+		b.rowArena = make([]float64, 0, 2*(cap(b.rowArena)+n))
 		old = 0
 	}
-	row := sc.rowArena[old : old+n : old+n]
-	sc.rowArena = sc.rowArena[:old+n]
-	for i := range row {
-		row[i] = 0
-	}
+	row := b.rowArena[old : old+n : old+n]
+	b.rowArena = b.rowArena[:old+n]
+	clear(row)
 	return row
 }
 
-// problem returns a cleared ilp.Problem shell, scratch-owned when available.
-func (sc *SolveScratch) problem() *ilp.Problem {
-	if sc == nil {
-		return &ilp.Problem{}
-	}
-	sc.prob = ilp.Problem{}
-	return &sc.prob
-}
-
-// probBuffers returns zeroed Objective/VarTypes/Upper slices of length n.
-func (sc *SolveScratch) probBuffers(n int) ([]float64, []ilp.VarType, []float64) {
-	if sc == nil {
-		return make([]float64, n), make([]ilp.VarType, n), make([]float64, n)
-	}
-	sc.obj = growZeroFloats(sc.obj, n)
-	if cap(sc.vts) < n {
-		sc.vts = make([]ilp.VarType, n)
-	}
-	sc.vts = sc.vts[:n]
-	for i := range sc.vts {
-		sc.vts[i] = 0
-	}
-	sc.upper = growZeroFloats(sc.upper, n)
-	return sc.obj, sc.vts, sc.upper
-}
-
-// constraints returns an empty constraint list to append to; buildDone
-// stores the final slice back so capacity is retained across tiles.
-func (sc *SolveScratch) constraints() []lp.Constraint {
-	if sc == nil {
-		return nil
-	}
-	return sc.cons[:0]
-}
-
-// keepConstraints retains a built constraint list's capacity for reuse.
-func (sc *SolveScratch) keepConstraints(cons []lp.Constraint) {
-	if sc != nil {
-		sc.cons = cons
-	}
-}
-
-// incBuf returns a zeroed incumbent vector of length n.
-func (sc *SolveScratch) incBuf(n int) []float64 {
-	if sc == nil {
-		return make([]float64, n)
-	}
-	sc.inc = growZeroFloats(sc.inc, n)
-	return sc.inc
-}
-
-// keysBuf returns a costKey slice of length n (fully overwritten by the
-// caller before sorting).
-func (sc *SolveScratch) keysBuf(n int) []costKey {
-	if sc == nil {
-		return make([]costKey, n)
-	}
-	if cap(sc.keys) < n {
-		sc.keys = make([]costKey, n)
-	}
-	sc.keys = sc.keys[:n]
-	return sc.keys
-}
-
-// keysIn hands out the scratch's cost-key buffer (nil without one); keysOut
-// stores the possibly-regrown buffer back.
-func (sc *SolveScratch) keysIn() []costKey {
-	if sc == nil {
-		return nil
-	}
-	return sc.keys
-}
-
-func (sc *SolveScratch) keysOut(keys []costKey) {
-	if sc != nil {
-		sc.keys = keys
-	}
-}
-
-// varsBuf returns an ilpiiVars slice of length n (fully overwritten by the
-// builder).
-func (sc *SolveScratch) varsBuf(n int) []ilpiiVars {
-	if sc == nil {
-		return make([]ilpiiVars, n)
-	}
-	if cap(sc.vars) < n {
-		sc.vars = make([]ilpiiVars, n)
-	}
-	sc.vars = sc.vars[:n]
-	return sc.vars
+// newProblem returns the scratch's cleared ilp.Problem shell with zeroed
+// Objective/VarTypes/Upper slices of length n and an empty constraint list
+// to append to (the builder stores the final list back in b.cons).
+func (b *ilpScratch) newProblem(n int) *ilp.Problem {
+	b.rowArena = b.rowArena[:0]
+	b.obj = growZero(b.obj, n)
+	b.vts = growZero(b.vts, n)
+	b.upper = growZero(b.upper, n)
+	b.prob = ilp.Problem{NumVars: n, Objective: b.obj, VarTypes: b.vts, Upper: b.upper,
+		Constraints: b.cons[:0]}
+	return &b.prob
 }
 
 // netRowsBuf returns an empty net→coefficient-row map, reused when possible.
-func (sc *SolveScratch) netRowsBuf() map[int][]float64 {
-	if sc == nil {
-		return map[int][]float64{}
+func (b *ilpScratch) netRowsBuf() map[int][]float64 {
+	if b.netRows == nil {
+		b.netRows = map[int][]float64{}
 	}
-	if sc.netRows == nil {
-		sc.netRows = map[int][]float64{}
-	}
-	clear(sc.netRows)
-	return sc.netRows
+	clear(b.netRows)
+	return b.netRows
 }
 
 // sortedNets returns the map's net indices in ascending order — the
-// deterministic constraint order both build paths share.
-func (sc *SolveScratch) sortedNets(rows map[int][]float64) []int {
-	var nets []int
-	if sc != nil {
-		nets = sc.netKeys[:0]
-	}
+// deterministic constraint order of the per-net cap rows.
+func (b *ilpScratch) sortedNets(rows map[int][]float64) []int {
+	nets := b.netKeys[:0]
 	for net := range rows {
 		nets = append(nets, net)
 	}
 	slices.Sort(nets)
-	if sc != nil {
-		sc.netKeys = nets
-	}
+	b.netKeys = nets
 	return nets
-}
-
-// assignBuf returns a zeroed Assignment of length n.
-func (sc *SolveScratch) assignBuf(n int) Assignment {
-	if sc == nil {
-		return make(Assignment, n)
-	}
-	if cap(sc.tmpA) < n {
-		sc.tmpA = make(Assignment, n)
-	}
-	sc.tmpA = sc.tmpA[:n]
-	for i := range sc.tmpA {
-		sc.tmpA[i] = 0
-	}
-	return sc.tmpA
-}
-
-// repairNetsBuf returns the empty capped-net list buffer; callers hand the
-// regrown slice back through repairNetsOut. Nil-safe.
-func (sc *SolveScratch) repairNetsBuf() []int {
-	if sc == nil {
-		return nil
-	}
-	return sc.repairNets[:0]
-}
-
-// repairNetsOut stores the regrown capped-net list back in the scratch.
-func (sc *SolveScratch) repairNetsOut(nets []int) {
-	if sc != nil {
-		sc.repairNets = nets
-	}
 }
 
 // spentMap returns an empty per-net spend map, reused when possible.
 func (sc *SolveScratch) spentMap() map[int]float64 {
-	if sc == nil {
-		return map[int]float64{}
-	}
 	if sc.spent == nil {
 		sc.spent = map[int]float64{}
 	}

@@ -10,8 +10,7 @@ import (
 )
 
 // costKey pairs a column index with its sort key. The (key, k) pair is a
-// total order, so every sort algorithm produces the same permutation — the
-// pooled and unpooled greedy paths stay bit-identical.
+// total order, so every sort algorithm produces the same permutation.
 type costKey struct {
 	k   int
 	key float64
@@ -32,10 +31,7 @@ func sortCostKeys(keys []costKey) { slices.SortFunc(keys, cmpCostKey) }
 // wholeColumnKeys fills keys with each column's whole-column fill cost
 // (r̂_k · ΔC(C_k)) sorted ascending — the order Fig 8's greedy consumes.
 func wholeColumnKeys(keys []costKey, in *Instance) []costKey {
-	if cap(keys) < len(in.Columns) {
-		keys = make([]costKey, len(in.Columns))
-	}
-	keys = keys[:len(in.Columns)]
+	keys = grow(keys, len(in.Columns))
 	for k := range in.Columns {
 		cv := &in.Columns[k]
 		keys[k] = costKey{k: k, key: cv.costAt(cv.MaxM)}
@@ -64,10 +60,7 @@ func solveNormalInto(a Assignment, in *Instance, rng *rand.Rand, slots []int) []
 	}
 	// Sample F distinct sites out of `total` with a partial Fisher-Yates
 	// over the implicit site array, then count per column.
-	if cap(slots) < total {
-		slots = make([]int, total)
-	}
-	slots = slots[:total]
+	slots = grow(slots, total)
 	idx := 0
 	for k := range in.Columns {
 		for m := 0; m < in.Columns[k].MaxM; m++ {
@@ -208,47 +201,31 @@ func SolveDP(in *Instance) (Assignment, error) {
 // cancel to one column's O(F·maxM) row.
 func SolveDPContext(ctx context.Context, in *Instance) (Assignment, error) {
 	a := make(Assignment, len(in.Columns))
-	if err := solveDPInto(ctx, a, in, nil); err != nil {
+	if err := solveDPInto(ctx, a, in, NewSolveScratch()); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
 // solveDPInto is the DP table fill writing into a caller-owned Assignment,
-// sourcing the dp rows and choice table from sc when non-nil.
+// sourcing the dp rows and choice table from sc.
 func solveDPInto(ctx context.Context, a Assignment, in *Instance, sc *SolveScratch) error {
 	kn := len(in.Columns)
 	if int64(kn)*int64(in.F+1) > DPMaxStates {
 		return fmt.Errorf("core: DP instance too large (%d columns × %d budget)", kn, in.F)
 	}
 	const inf = math.MaxFloat64
-	var dp, next []float64
-	var choice [][]int32
-	if sc != nil {
-		sc.dpA = growFloats(sc.dpA, in.F+1)
-		sc.dpB = growFloats(sc.dpB, in.F+1)
-		dp, next = sc.dpA, sc.dpB
-		if cap(sc.choiceRows) < kn {
-			sc.choiceRows = make([][]int32, kn)
-		}
-		sc.choiceRows = sc.choiceRows[:kn]
-		need := kn * (in.F + 1)
-		if cap(sc.choiceArena) < need {
-			sc.choiceArena = make([]int32, need)
-		}
-		sc.choiceArena = sc.choiceArena[:need]
-		for k := 0; k < kn; k++ {
-			sc.choiceRows[k] = sc.choiceArena[k*(in.F+1) : (k+1)*(in.F+1)]
-		}
-		choice = sc.choiceRows
-	} else {
-		dp = make([]float64, in.F+1)
-		next = make([]float64, in.F+1)
-		choice = make([][]int32, kn) // choice[k][f] = m chosen for column k at budget f
-		for k := 0; k < kn; k++ {
-			choice[k] = make([]int32, in.F+1)
-		}
+	sc.dpA = grow(sc.dpA, in.F+1)
+	sc.dpB = grow(sc.dpB, in.F+1)
+	dp, next := sc.dpA, sc.dpB
+	// choice[k][f] = m chosen for column k at budget f, rows carved from one
+	// arena.
+	sc.choiceRows = grow(sc.choiceRows, kn)
+	sc.choiceArena = grow(sc.choiceArena, kn*(in.F+1))
+	for k := 0; k < kn; k++ {
+		sc.choiceRows[k] = sc.choiceArena[k*(in.F+1) : (k+1)*(in.F+1)]
 	}
+	choice := sc.choiceRows
 	dp[0] = 0
 	for f := 1; f <= in.F; f++ {
 		dp[f] = inf

@@ -4,18 +4,18 @@
 // — the "normal fill" baseline of the PIL-Fill paper. Two budgeting engines
 // are provided:
 //
-//   - LPBudget: the min-variation linear program (maximize the minimum
-//     window density subject to an upper bound and per-tile slack), solved
-//     with the simplex solver in internal/lp. Exact but only practical for
-//     coarse dissections.
 //   - MonteCarlo: the randomized greedy budgeter that repeatedly adds one
 //     fill feature to a slack tile of the currently emptiest window.
 //     Scales to fine dissections; this is what the experiment harness uses.
+//   - FFTBudget (effective.go): the effective-density budgeter over a
+//     smoothing kernel, used by the chip-scale and cluster flows.
 //
-// Both return the same artifact — the number of fill features each tile must
-// receive — which the PIL-Fill methods then place. Density quality depends
-// only on the budget, so every placement method in internal/core achieves
-// identical density control by construction.
+// The min-variation linear program (LPBudget) lives in density_test.go as
+// the exact oracle MonteCarlo is tested against. Every budgeter returns the
+// same artifact — the number of fill features each tile must receive —
+// which the PIL-Fill methods then place. Density quality depends only on
+// the budget, so every placement method in internal/core achieves identical
+// density control by construction.
 package density
 
 import (
@@ -24,7 +24,6 @@ import (
 	"math/rand"
 
 	"pilfill/internal/layout"
-	"pilfill/internal/lp"
 )
 
 // Grid aggregates per-tile feature area and fill slack for one layer.
@@ -341,86 +340,6 @@ func MonteCarlo(g *Grid, opts MonteCarloOptions) (Budget, float64, error) {
 func MaxMinDensity(g *Grid, maxDensity float64, seed int64) (float64, error) {
 	_, achieved, err := MonteCarlo(g, MonteCarloOptions{TargetMin: 1.0, MaxDensity: maxDensity, Seed: seed})
 	return achieved, err
-}
-
-// MaxLPVars bounds the LP budgeter's problem size (variables = tiles + 1).
-const MaxLPVars = 1200
-
-// LPBudget computes a fill budget by solving the min-variation LP: maximize
-// the minimum window density M subject to every window staying at or below
-// maxDensity and every tile receiving at most its slack. The fractional
-// areas are rounded down to whole features (rounding keeps all upper bounds
-// satisfied). Only practical for coarse dissections; returns an error when
-// the problem exceeds MaxLPVars variables.
-func LPBudget(g *Grid, maxDensity float64) (Budget, error) {
-	nx, ny := g.D.NX, g.D.NY
-	nTiles := nx * ny
-	if nTiles+1 > MaxLPVars {
-		return nil, fmt.Errorf("density: LP budget with %d tiles exceeds %d variables; use MonteCarlo", nTiles, MaxLPVars-1)
-	}
-	wx, wy := g.D.NumWindows()
-	// Variables: x[0..nTiles-1] = fill area per tile (in feature units),
-	// x[nTiles] = M (minimum window density, scaled to [0,1]).
-	nv := nTiles + 1
-	tileVar := func(i, j int) int { return i*ny + j }
-
-	obj := make([]float64, nv)
-	obj[nTiles] = -1 // maximize M
-
-	var cons []lp.Constraint
-	fa := float64(g.FeatureArea)
-	for wi := 0; wi < wx; wi++ {
-		for wj := 0; wj < wy; wj++ {
-			wa := float64(g.D.WindowRect(wi, wj).Area())
-			base := 0.0
-			coeffLo := make([]float64, nv)
-			coeffHi := make([]float64, nTiles)
-			for di := 0; di < g.D.R; di++ {
-				for dj := 0; dj < g.D.R; dj++ {
-					ti, tj := wi+di, wj+dj
-					if ti >= nx || tj >= ny {
-						continue
-					}
-					base += float64(g.TileArea[ti][tj])
-					coeffLo[tileVar(ti, tj)] = fa / wa
-					coeffHi[tileVar(ti, tj)] = fa / wa
-				}
-			}
-			// (base + fa·Σx)/wa >= M  ->  Σ (fa/wa) x - M >= -base/wa
-			coeffLo[nTiles] = -1
-			cons = append(cons, lp.Constraint{Coeffs: coeffLo, Op: lp.GE, RHS: -base / wa})
-			if maxDensity > 0 {
-				cons = append(cons, lp.Constraint{Coeffs: coeffHi, Op: lp.LE, RHS: maxDensity - base/wa})
-			}
-		}
-	}
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			co := make([]float64, tileVar(i, j)+1)
-			co[tileVar(i, j)] = 1
-			cons = append(cons, lp.Constraint{Coeffs: co, Op: lp.LE, RHS: float64(g.TileSlack[i][j])})
-		}
-	}
-	sol, err := lp.Solve(&lp.Problem{NumVars: nv, Objective: obj, Constraints: cons})
-	if err != nil {
-		return nil, fmt.Errorf("density: LP budget: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("density: LP budget: %v", sol.Status)
-	}
-	budget := g.NewBudget()
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			budget[i][j] = int(math.Floor(sol.X[tileVar(i, j)] + 1e-7))
-			if budget[i][j] > g.TileSlack[i][j] {
-				budget[i][j] = g.TileSlack[i][j]
-			}
-			if budget[i][j] < 0 {
-				budget[i][j] = 0
-			}
-		}
-	}
-	return budget, nil
 }
 
 // CheckBudget verifies a budget respects per-tile slack.

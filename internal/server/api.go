@@ -5,6 +5,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"pilfill/internal/core"
 	"pilfill/internal/jobqueue"
 	"pilfill/internal/obs"
+	"pilfill/internal/testcases"
 )
 
 // SubmitRequest is the body of POST /v1/jobs. Exactly one of Testcase and
@@ -61,6 +63,43 @@ type SubmitOptions struct {
 	// payload (ReportPayload.Trace), letting a coordinator merge worker spans
 	// into one cluster-wide Chrome trace.
 	CollectTrace bool `json:"collect_trace,omitempty"`
+}
+
+// SessionOptions is the one mapping from submitted options to
+// pilfill.Options: it applies the service defaults (window 32, r 4, slack
+// definition III, the T1/T2 fill rule), range-checks SlackDef, converts
+// NetCapPS to seconds and carries every solver knob across. Whole-layout
+// jobs hand the result to pilfill.NewSession; region jobs and the cluster's
+// single-process reference turn it into an engine config with
+// pilfill.Options.EngineConfig, so all three solve under the same knobs.
+// CollectTrace is not a session option: the caller owns the tracer.
+func (o SubmitOptions) SessionOptions() (pilfill.Options, error) {
+	if o.Window == 0 {
+		o.Window = 32
+	}
+	if o.R == 0 {
+		o.R = 4
+	}
+	if o.SlackDef == 0 {
+		o.SlackDef = 3
+	}
+	if o.SlackDef < 1 || o.SlackDef > 3 {
+		return pilfill.Options{}, fmt.Errorf("slackdef %d out of range [1,3]", o.SlackDef)
+	}
+	return pilfill.Options{
+		Window:       testcases.WindowNM(o.Window),
+		R:            o.R,
+		Rule:         pilfill.DefaultRuleT1T2(),
+		Weighted:     o.Weighted,
+		Def:          pilfill.SlackDef(o.SlackDef),
+		Seed:         o.Seed,
+		NetCap:       o.NetCapPS * 1e-12,
+		DualGapTol:   o.DualGapTol,
+		Workers:      o.Workers,
+		Grounded:     o.Grounded,
+		ILPNodeLimit: o.ILPNodeLimit,
+		NoSolveMemo:  o.NoSolveMemo,
+	}, nil
 }
 
 // JobView is the response of POST /v1/jobs, GET /v1/jobs/{id} and

@@ -23,7 +23,6 @@ import (
 	"pilfill"
 	"pilfill/internal/core"
 	"pilfill/internal/density"
-	"pilfill/internal/ilp"
 	"pilfill/internal/jobqueue"
 	"pilfill/internal/layout"
 	"pilfill/internal/obs"
@@ -178,14 +177,12 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 	if err != nil {
 		return nil, err
 	}
-	o := req.Options
-	if o.SlackDef == 0 {
-		o.SlackDef = 3
+	opts, err := req.Options.SessionOptions()
+	if err != nil {
+		return nil, err
 	}
-	if o.SlackDef < 1 || o.SlackDef > 3 {
-		return nil, fmt.Errorf("slackdef %d out of range [1,3]", o.SlackDef)
-	}
-	o.Workers = EffectiveWorkers(o.Workers, queueWorkers)
+	opts.Workers = EffectiveWorkers(opts.Workers, queueWorkers)
+	collectTrace := req.Options.CollectTrace
 	defText := req.DEF
 
 	return func(ctx context.Context, setPhase func(string)) (any, error) {
@@ -212,25 +209,12 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 		}
 
 		setPhase("prepare")
-		cfg := core.Config{
-			Layer:       spec.Layer,
-			Def:         pilfill.SlackDef(o.SlackDef),
-			Weighted:    o.Weighted,
-			Seed:        o.Seed,
-			NetCap:      o.NetCapPS * 1e-12,
-			DualGapTol:  o.DualGapTol,
-			Workers:     o.Workers,
-			Grounded:    o.Grounded,
-			NoSolveMemo: o.NoSolveMemo,
-			TileOffI:    spec.TileOffI,
-			TileOffJ:    spec.TileOffJ,
-			OnTile:      tracker.onTile,
-		}
-		if o.ILPNodeLimit > 0 {
-			cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
-		}
+		cfg := opts.EngineConfig()
+		cfg.Layer = spec.Layer
+		cfg.TileOffI, cfg.TileOffJ = spec.TileOffI, spec.TileOffJ
+		cfg.OnTile = tracker.onTile
 		var tr *obs.Tracer
-		if o.CollectTrace {
+		if collectTrace {
 			tr = obs.NewTracer(0)
 			cfg.Trace = tr
 		}
@@ -265,7 +249,7 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 			return nil, err
 		}
 		setPhase("report")
-		rep := buildRegionReport(&spec, l, res, o.Workers)
+		rep := buildRegionReport(&spec, l, res, opts.Workers)
 		rep.Trace = tr.Dump("pilfilld/" + spec.ID)
 		return rep, nil
 	}, nil

@@ -46,7 +46,6 @@ import (
 	"pilfill/internal/jobqueue"
 	"pilfill/internal/layout"
 	"pilfill/internal/obs"
-	"pilfill/internal/testcases"
 )
 
 // Config parameterizes a Server.
@@ -513,20 +512,12 @@ func defaultTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counte
 			return nil, fmt.Errorf("unknown testcase %q (want T1 or T2)", req.Testcase)
 		}
 	}
-	o := req.Options
-	if o.Window == 0 {
-		o.Window = 32
+	opts, err := req.Options.SessionOptions()
+	if err != nil {
+		return nil, err
 	}
-	if o.R == 0 {
-		o.R = 4
-	}
-	if o.SlackDef == 0 {
-		o.SlackDef = 3
-	}
-	if o.SlackDef < 1 || o.SlackDef > 3 {
-		return nil, fmt.Errorf("slackdef %d out of range [1,3]", o.SlackDef)
-	}
-	o.Workers = EffectiveWorkers(o.Workers, queueWorkers)
+	opts.Workers = EffectiveWorkers(opts.Workers, queueWorkers)
+	collectTrace := req.Options.CollectTrace
 	reqCopy := *req // detach from the handler's request lifetime
 
 	return func(ctx context.Context, setPhase func(string)) (any, error) {
@@ -557,25 +548,12 @@ func defaultTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counte
 
 		setPhase("prepare")
 		var tr *obs.Tracer
-		if o.CollectTrace {
+		if collectTrace {
 			tr = obs.NewTracer(0)
 		}
-		sess, err := pilfill.NewSession(l, pilfill.Options{
-			Window:       testcases.WindowNM(o.Window),
-			R:            o.R,
-			Rule:         pilfill.DefaultRuleT1T2(),
-			Weighted:     o.Weighted,
-			Def:          pilfill.SlackDef(o.SlackDef),
-			Seed:         o.Seed,
-			NetCap:       o.NetCapPS * 1e-12,
-			Workers:      o.Workers,
-			Grounded:     o.Grounded,
-			ILPNodeLimit: o.ILPNodeLimit,
-			NoSolveMemo:  o.NoSolveMemo,
-			DualGapTol:   o.DualGapTol,
-			Trace:        tr,
-			OnTile:       tracker.onTile,
-		})
+		runOpts := opts
+		runOpts.Trace, runOpts.OnTile = tr, tracker.onTile
+		sess, err := pilfill.NewSession(l, runOpts)
 		if err != nil {
 			return nil, fmt.Errorf("prepare session: %w", err)
 		}

@@ -158,6 +158,37 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
+// EngineConfig is the one mapping from session options to the engine
+// configuration: NewSession builds its engine from it, and callers that
+// drive core.Engine directly (region workers, the cluster's single-process
+// reference) start from it and set only what is theirs — tile offsets and
+// per-run hooks — so every run of the same options solves under the same
+// knobs.
+func (o Options) EngineConfig() core.Config {
+	cfg := core.Config{
+		Layer:         o.Layer,
+		Def:           o.Def,
+		Weighted:      o.Weighted,
+		Seed:          o.Seed,
+		NetCap:        o.NetCap,
+		DualGapTol:    o.DualGapTol,
+		Activity:      o.Activity,
+		Workers:       o.Workers,
+		Grounded:      o.Grounded,
+		NoTableCache:  o.NoTableCache,
+		NoSolveMemo:   o.NoSolveMemo,
+		Trace:         o.Trace,
+		Logger:        o.Logger,
+		SlowTile:      o.SlowTileThreshold,
+		ProgressNodes: o.ProgressNodes,
+		OnTile:        o.OnTile,
+	}
+	if o.ILPNodeLimit > 0 {
+		cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
+	}
+	return cfg
+}
+
 // Session is a prepared layout: dissection, density budget, slack columns
 // and RC analyses, ready to run any number of placement methods for an
 // apples-to-apples comparison. The Instances' curves are read-only: DeltaC
@@ -192,28 +223,7 @@ func NewSession(l *layout.Layout, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pilfill: %w", err)
 	}
-	cfg := core.Config{
-		Layer:         o.Layer,
-		Def:           o.Def,
-		Weighted:      o.Weighted,
-		Seed:          o.Seed,
-		NetCap:        o.NetCap,
-		DualGapTol:    o.DualGapTol,
-		Activity:      o.Activity,
-		Workers:       o.Workers,
-		Grounded:      o.Grounded,
-		NoTableCache:  o.NoTableCache,
-		NoSolveMemo:   o.NoSolveMemo,
-		Trace:         o.Trace,
-		Logger:        o.Logger,
-		SlowTile:      o.SlowTileThreshold,
-		ProgressNodes: o.ProgressNodes,
-		OnTile:        o.OnTile,
-	}
-	if o.ILPNodeLimit > 0 {
-		cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
-	}
-	eng, err := core.NewEngine(l, dis, o.Rule, cfg)
+	eng, err := core.NewEngine(l, dis, o.Rule, o.EngineConfig())
 	if err != nil {
 		return nil, fmt.Errorf("pilfill: %w", err)
 	}

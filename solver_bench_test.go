@@ -1,12 +1,11 @@
 // Solver micro-benchmarks: the ILP-I and ILP-II branch-and-bound cores on
-// harness-built tile instances, comparing the warm-started bounded-variable
-// path against the row-based pre-optimization baseline:
+// harness-built tile instances:
 //
 //	go test -bench 'ILPI|ILPII' -benchtime 5x -run '^$' .
 //
-// The companion cmd/benchsolver writes the same comparison to
-// BENCH_solver.json with exactness checks; these benchmarks are for quick
-// ns/op readings during solver work.
+// The companion cmd/benchsolver writes per-case work against frozen ceilings
+// to BENCH_solver.json; these benchmarks are for quick ns/op readings during
+// solver work.
 package pilfill
 
 import (
@@ -64,7 +63,10 @@ func reportWork(b *testing.B, nodes, pivots int) {
 	b.ReportMetric(float64(pivots), "pivots")
 }
 
-func benchILPI(b *testing.B, seeded bool) {
+// BenchmarkILPI measures the ILP-I solver core on the T1/20/8 instances as
+// the engine solves them: bounded-variable simplex, workspace reuse, greedy
+// incumbent and warm start.
+func BenchmarkILPI(b *testing.B) {
 	instances := benchInstances(b, "T1", 20, 8)
 	opts := &ilp.Options{MaxNodes: 20000}
 	b.ResetTimer()
@@ -76,16 +78,10 @@ func benchILPI(b *testing.B, seeded bool) {
 			if p == nil {
 				continue
 			}
-			var sol *ilp.Solution
-			var err error
-			if seeded {
-				o := *opts
-				o.Incumbent = inc
-				o.WarmStart = true // as SolveILPI configures it
-				sol, err = ilp.Solve(p, &o)
-			} else {
-				sol, err = ilp.SolveRowBased(p, opts)
-			}
+			o := *opts
+			o.Incumbent = inc
+			o.WarmStart = true // as SolveILPI configures it
+			sol, err := ilp.Solve(p, &o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -96,7 +92,9 @@ func benchILPI(b *testing.B, seeded bool) {
 	reportWork(b, nodes, pivots)
 }
 
-func benchILPII(b *testing.B, seeded bool) {
+// BenchmarkILPII measures the ILP-II solver core on the T1/20/8 instances,
+// seeded with the marginal-greedy incumbent as the engine solves them.
+func BenchmarkILPII(b *testing.B) {
 	instances := benchInstances(b, "T1", 20, 8)
 	opts := &ilp.Options{MaxNodes: 20000}
 	b.ResetTimer()
@@ -108,15 +106,9 @@ func benchILPII(b *testing.B, seeded bool) {
 			if g == nil {
 				continue
 			}
-			var sol *ilp.Solution
-			var err error
-			if seeded {
-				o := *opts
-				o.Incumbent = g.Incumbent
-				sol, err = ilp.Solve(g.P, &o)
-			} else {
-				sol, err = ilp.SolveRowBased(g.P, opts)
-			}
+			o := *opts
+			o.Incumbent = g.Incumbent
+			sol, err := ilp.Solve(g.P, &o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -125,19 +117,4 @@ func benchILPII(b *testing.B, seeded bool) {
 		}
 	}
 	reportWork(b, nodes, pivots)
-}
-
-// BenchmarkILPI measures the ILP-I solver core on the T1/20/8 instances:
-// "seeded" is the production path (bounded-variable simplex, workspace
-// reuse, greedy incumbent), "rowbased" the pre-optimization baseline.
-func BenchmarkILPI(b *testing.B) {
-	b.Run("seeded", func(b *testing.B) { benchILPI(b, true) })
-	b.Run("rowbased", func(b *testing.B) { benchILPI(b, false) })
-}
-
-// BenchmarkILPII measures the ILP-II solver core on the T1/20/8 instances,
-// same variants as BenchmarkILPI.
-func BenchmarkILPII(b *testing.B) {
-	b.Run("seeded", func(b *testing.B) { benchILPII(b, true) })
-	b.Run("rowbased", func(b *testing.B) { benchILPII(b, false) })
 }
