@@ -26,9 +26,12 @@ race:
 
 # Cluster bit-identity smoke test under the race detector: in-process
 # multi-worker scatter/gather (including the kill-a-worker fault path) must
-# produce a merged report bit-identical to the single-process run.
+# produce a merged report bit-identical to the single-process run. It also
+# runs the shared job service's checks: the cross-daemon HTTP contract
+# (pilfilld and pilfill-coord answer alike) and both daemons' WAL restarts.
 cluster-smoke:
-	$(GO) test -race -count=1 -run 'TestClusterBitIdentical|TestClusterSurvivesWorkerKill' ./internal/cluster
+	$(GO) test -race -count=1 -run 'TestClusterBitIdentical|TestClusterSurvivesWorkerKill|TestDaemonHTTPContract|TestChipWAL' ./internal/cluster
+	$(GO) test -race -count=1 -run 'TestJobWAL' ./internal/server
 
 bench:
 	$(GO) test -bench 'EnginePreprocess' -benchtime 10x -run '^$$' .

@@ -266,11 +266,10 @@ func BenchmarkAblationFillStyle(b *testing.B) {
 }
 
 // BenchmarkEnginePreprocess measures the instance-construction phase of
-// engine preprocessing — the part that builds a capacitance lookup table per
-// attributed slack column — with and without the memoized table cache. The
-// cached variant reuses one warm cache across iterations (the
-// cross-tile/cross-session reuse the cache exists for) and reports its
-// hit/miss traffic as custom metrics.
+// engine preprocessing — the part that looks up a capacitance table per
+// attributed slack column. The "cached" variant reuses one warm table cache
+// across iterations (the cross-tile/cross-session reuse the cache exists
+// for) and reports its hit/miss traffic as custom metrics.
 func BenchmarkEnginePreprocess(b *testing.B) {
 	l, err := GenerateT1()
 	if err != nil {
@@ -281,7 +280,7 @@ func BenchmarkEnginePreprocess(b *testing.B) {
 		b.Fatal(err)
 	}
 	rule := DefaultRuleT1T2()
-	seed, err := core.NewEngine(l, dis, rule, core.Config{Seed: 1, NoTableCache: true})
+	seed, err := core.NewEngine(l, dis, rule, core.Config{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -311,11 +310,10 @@ func BenchmarkEnginePreprocess(b *testing.B) {
 			b.ReportMetric(100*s.HitRate(), "cache_hit_%")
 		}
 	}
-	b.Run("uncached", func(b *testing.B) { run(b, core.Config{Seed: 1, NoTableCache: true}) })
 	b.Run("cached", func(b *testing.B) { run(b, core.Config{Seed: 1, Cache: cap.NewTableCache()}) })
 
 	// T1's slack columns are shallow (small capacities), so the engine-level
-	// pair above is dominated by instance assembly; this pair isolates the
+	// run above is dominated by instance assembly; this pair isolates the
 	// cost the cache removes on a deep table (the paper's widest line pairs).
 	proc := cap.Default130
 	b.Run("table-build", func(b *testing.B) {

@@ -281,8 +281,7 @@ func main() {
 	// count measures this chip alone.
 	memo := core.NewSolveMemo()
 	cfg := core.Config{Seed: 1, Workers: *workers, NetCap: *netCap * 1e-12}
-	cfgOff, cfgOn := cfg, cfg
-	cfgOff.NoSolveMemo = true
+	cfgOff, cfgOn := cfg, cfg // cfgOff.Memo stays nil: memo off
 	cfgOn.Memo = memo
 	engOff, err := core.NewEngine(l, dis, spec.Rule, cfgOff)
 	if err != nil {

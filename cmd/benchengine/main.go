@@ -251,11 +251,11 @@ func scalingCurve(eng *core.Engine, instances []*core.Instance) ([]ScalePoint, e
 
 func runCase(c benchCase, runs int, short bool) (CaseResult, error) {
 	// The solve memo would collapse repeated runs into cache replays and
-	// hide the allocation behavior under measurement, so it stays off here.
+	// hide the allocation behavior under measurement, so it stays off here
+	// (a nil Config.Memo).
 	eng, instances, err := harness.BuildInstances(c.Testcase, c.W, c.R, core.Config{
-		Seed:        1,
-		ILPOpts:     ilp.Options{MaxNodes: 20000},
-		NoSolveMemo: true,
+		Seed:    1,
+		ILPOpts: ilp.Options{MaxNodes: 20000},
 	})
 	if err != nil {
 		return CaseResult{}, err

@@ -23,15 +23,11 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"pilfill/internal/cluster"
@@ -140,34 +136,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("pilfill-coord: %v", err)
 	}
-	hs := &http.Server{Addr: *addr, Handler: svc}
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
 	logger.Info("pilfill-coord listening", "addr", *addr, "workers", len(workers),
 		"data_dir", *dataDir, "version", obs.Version)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case sig := <-sigCh:
-		logger.Info("draining", "signal", sig.String(), "timeout", *drainTimeout)
-	case err := <-errCh:
+	if err := svc.Serve(*addr, *drainTimeout); err != nil {
 		logger.Error("listener failed", "err", err)
 		os.Exit(1)
-	}
-
-	svc.SetReady(false)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := svc.Shutdown(drainCtx); err != nil {
-		logger.Warn("drain incomplete, remaining chips cancelled (the WAL resubmits them)", "err", err)
-	} else {
-		logger.Info("chip queue drained")
-	}
-	httpCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := hs.Shutdown(httpCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Warn("http shutdown", "err", err)
 	}
 }
 

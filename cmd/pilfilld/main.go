@@ -21,16 +21,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"pilfill/internal/jobqueue"
@@ -89,39 +84,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("pilfilld: %v", err)
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
 	logger.Info("pilfilld listening", "addr", *addr, "capacity", *capacity,
 		"workers", *workers, "job_timeout", *jobTimeout,
 		"pprof", *pprofFlag, "version", obs.Version)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case sig := <-sigCh:
-		logger.Info("draining", "signal", sig.String(), "timeout", *drainTimeout)
-	case err := <-errCh:
+	if err := srv.Serve(*addr, *drainTimeout); err != nil {
 		logger.Error("listener failed", "err", err)
 		os.Exit(1)
-	}
-
-	// Flip readiness before draining: routers stop sending new work while
-	// the jobs already here still finish cleanly. Then drain while the
-	// listener still serves GETs, so clients can poll their jobs' final
-	// states; then close the listener.
-	srv.SetReady(false)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Warn("drain incomplete, remaining jobs cancelled", "err", err)
-	} else {
-		logger.Info("queue drained")
-	}
-	httpCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := hs.Shutdown(httpCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Warn("http shutdown", "err", err)
 	}
 }

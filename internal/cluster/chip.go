@@ -246,7 +246,7 @@ func RunChipLocal(ctx context.Context, prep *Prep) (*MergedReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: region %s: %w", reg.Owned, err)
 		}
-		payloads[n] = localRegionPayload(reg.ID(prep.Plan.GX, prep.Plan.GY), prep.Layout, res)
+		payloads[n] = server.NewRegionPayload(reg.ID(prep.Plan.GX, prep.Plan.GY), prep.Layout, res, 0, 0)
 	}
 	rep, err := MergeRegions(prep.NetNames, payloads)
 	if err != nil {
@@ -255,38 +255,4 @@ func RunChipLocal(ctx context.Context, prep *Prep) (*MergedReport, error) {
 	rep.Method = m.String()
 	rep.BudgetAchievedMin = prep.Achieved
 	return rep, nil
-}
-
-// localRegionPayload converts an in-process region result (already in chip
-// coordinates) to the wire payload shape, so local and clustered runs merge
-// through identical code.
-func localRegionPayload(id string, l *layout.Layout, res *core.Result) *server.RegionPayload {
-	rp := &server.RegionPayload{
-		ID:         id,
-		Tiles:      res.Tiles,
-		Requested:  res.Requested,
-		Placed:     res.Placed,
-		ILPNodes:   res.ILPNodes,
-		LPPivots:   res.LPPivots,
-		Repaired:   res.IncumbentsRepaired,
-		Dropped:    res.IncumbentsDropped,
-		Unweighted: res.Unweighted,
-		Weighted:   res.Weighted,
-		Fills:      make([][2]int, 0, len(res.Fill.Fills)),
-	}
-	fh := server.NewFillHasher()
-	for _, f := range res.Fill.Fills {
-		rp.Fills = append(rp.Fills, [2]int{f.Col, f.Row})
-		fh.Add(f.Col, f.Row)
-	}
-	rp.FillHash = fh.Sum()
-	for n, v := range res.PerNet {
-		if v != 0 {
-			if rp.PerNet == nil {
-				rp.PerNet = make(map[string]float64)
-			}
-			rp.PerNet[l.Nets[n].Name] = v
-		}
-	}
-	return rp
 }

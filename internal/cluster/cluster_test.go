@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -211,18 +212,27 @@ func (k *killSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the coordinator's retry resubmits the region elsewhere under the same
 // idempotency key and the merged report stays bit-identical.
 func TestClusterSurvivesWorkerKill(t *testing.T) {
-	ks := &killSwitch{}
-	ks.armed.Store(true)
-	killable := newWorker(t, func(h http.Handler) http.Handler {
-		ks.inner = h
-		return ks
-	})
-	workers := []string{killable.URL, newWorker(t, nil).URL, newWorker(t, nil).URL}
+	workers := make([]string, 3)
+	switches := make([]*killSwitch, len(workers))
+	for i := range workers {
+		ks := &killSwitch{}
+		switches[i] = ks
+		workers[i] = newWorker(t, func(h http.Handler) http.Handler {
+			ks.inner = h
+			return ks
+		}).URL
+	}
 
 	prep, err := PrepareChip(testChip("greedy", 3, 2))
 	if err != nil {
 		t.Fatalf("PrepareChip: %v", err)
 	}
+	// Arm the worker region 0 ranks first. Placement hashes the workers'
+	// URLs, whose ports vary per run, so a fixed choice would sometimes get
+	// no region at all and leave the fault path unexercised.
+	first := rendezvous(workers, regionKey(prep.Jobs[0], &prep.Job))[0]
+	ks := switches[slices.Index(workers, first)]
+	ks.armed.Store(true)
 	want, err := RunChipLocal(context.Background(), prep)
 	if err != nil {
 		t.Fatalf("RunChipLocal: %v", err)

@@ -31,6 +31,11 @@ import (
 // chipRunSeq disambiguates trace IDs minted in the same nanosecond.
 var chipRunSeq atomic.Int64
 
+// newTraceID mints a chip trace ID, unique across coordinator restarts.
+func newTraceID() string {
+	return fmt.Sprintf("chip-%d-%d", time.Now().UnixNano(), chipRunSeq.Add(1))
+}
+
 // RegionProgress is one region's slice of a chip progress snapshot.
 type RegionProgress struct {
 	ID string `json:"id"`
@@ -107,7 +112,7 @@ type ChipRun struct {
 // mints one; collectTraces enables span recording and worker-dump capture.
 func NewChipRun(traceID string, collectTraces bool) *ChipRun {
 	if traceID == "" {
-		traceID = fmt.Sprintf("chip-%d-%d", time.Now().UnixNano(), chipRunSeq.Add(1))
+		traceID = newTraceID()
 	}
 	r := &ChipRun{
 		TraceID: traceID,

@@ -44,7 +44,7 @@ func TestEveryOptionReachesEngineConfig(t *testing.T) {
 		"Workers":      func(c core.Config) bool { return c.Workers == 2 },
 		"Grounded":     func(c core.Config) bool { return c.Grounded },
 		"ILPNodeLimit": func(c core.Config) bool { return c.ILPOpts.MaxNodes == 2 },
-		"NoSolveMemo":  func(c core.Config) bool { return c.NoSolveMemo },
+		"NoSolveMemo":  func(c core.Config) bool { return c.Memo == nil },
 		"DualGapTol":   func(c core.Config) bool { return c.DualGapTol == 0.25 },
 	}
 

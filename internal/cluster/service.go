@@ -1,34 +1,36 @@
-// service.go is pilfill-coord's serve mode: a small HTTP layer that accepts
-// whole-chip jobs, runs them through the Coordinator on a bounded job queue,
-// and exposes their state. Chip jobs are durable the same way worker jobs
-// are: keyed submissions are WAL-logged (chips.wal, next to the
-// coordinator's regions.wal) and unfinished ones are resubmitted on restart
-// — where they pick their finished regions back up from the region WAL and
-// re-scatter only the rest.
+// service.go is pilfill-coord's serve mode: whole-chip jobs on the job
+// service pilfilld runs on (server.Jobs), run through the Coordinator. The
+// queue, the chip WAL (chips.wal, next to the coordinator's regions.wal), the
+// submit/list/get/cancel handlers, their status policy, /healthz, /readyz and
+// request IDs are that shared service's; this file adds only what is the
+// coordinator's own: how a ChipSubmitRequest becomes a task, the ChipView,
+// and the progress, events, trace, statusz and metrics routes. Unfinished
+// keyed chips are resubmitted on restart, where they pick their finished
+// regions back up from the region WAL and re-scatter only the rest.
 //
 //	POST   /v1/chips               submit a chip job       -> 202 ChipView (200 on key dedupe)
 //	GET    /v1/chips               list jobs               -> 200 ChipListResponse (?limit=, ?after=)
 //	GET    /v1/chips/{id}          job state + report      -> 200 ChipView
-//	DELETE /v1/chips/{id}          cancel                  -> 200 ChipView
+//	DELETE /v1/chips/{id}          cancel                  -> 200 ChipView (409 if finished)
 //	GET    /v1/chips/{id}/progress live aggregated progress-> 200 chip progress
 //	GET    /v1/chips/{id}/events   progress stream (SSE; ends with a terminal event)
 //	GET    /v1/chips/{id}/trace    merged multi-process Chrome trace (collect_trace chips)
 //	GET    /statusz                cluster status page (HTML; ?format=json)
-//	GET    /healthz                liveness                -> 200 while serving
+//	GET    /healthz                liveness                -> 200 {"status":"ok"} while serving
 //	GET    /readyz                 routing readiness       -> 503 once draining starts
 //	GET    /metrics                Prometheus exposition (coordinator + queue families)
+//
+// A chip submitted without X-Request-ID gets a minted chip trace ID, unique
+// across restarts, which the response echoes as its X-Request-ID.
 package cluster
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"path/filepath"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pilfill/internal/jobqueue"
@@ -81,25 +83,13 @@ type ServiceConfig struct {
 	Registry *obs.Registry
 }
 
-// Service is the coordinator HTTP front end. Create with NewService; it
-// implements http.Handler.
+// Service is the coordinator HTTP front end: the shared job service plus
+// the coordinator's own routes. Create with NewService; it implements
+// http.Handler.
 type Service struct {
+	*server.Jobs[ChipSubmitRequest, ChipView]
 	coord *Coordinator
-	q     *jobqueue.Queue
-	wal   *jobqueue.WAL
 	log   *slog.Logger
-	reg   *obs.Registry
-	mux   *http.ServeMux
-	ready atomic.Bool
-
-	mu   sync.Mutex
-	keys map[string]string   // job id -> submission key, for the done record
-	runs map[string]*ChipRun // job id -> live/terminal observability state
-
-	// drainCh is closed when the service stops being ready, so open SSE
-	// streams can end with a terminal event instead of starving the drain.
-	drainMu sync.Mutex
-	drainCh chan struct{}
 }
 
 // NewService builds the service, replaying the chip WAL when DataDir is set.
@@ -107,284 +97,76 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Coordinator == nil {
 		return nil, fmt.Errorf("cluster: service needs a coordinator")
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
-	s := &Service{
-		coord:   cfg.Coordinator,
-		log:     cfg.Logger,
-		reg:     cfg.Registry,
-		keys:    make(map[string]string),
-		runs:    make(map[string]*ChipRun),
-		drainCh: make(chan struct{}),
-	}
-	s.ready.Store(true)
-	qcfg := cfg.Queue
-	qcfg.OnFinish = s.chipFinished
-	if qcfg.Logger == nil {
-		qcfg.Logger = cfg.Logger
-	}
-	s.q = jobqueue.New(qcfg)
-
-	if cfg.DataDir != "" {
-		wal, recs, err := jobqueue.OpenWAL(filepath.Join(cfg.DataDir, "chips.wal"))
-		if err != nil {
-			s.q.Shutdown(context.Background())
-			return nil, err
-		}
-		s.wal = wal
-		if err := s.replay(recs); err != nil {
-			s.q.Shutdown(context.Background())
-			return nil, err
-		}
-	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/chips", func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, cfg.MaxBodyBytes)
-		s.handleSubmit(w, r)
+	s := &Service{coord: cfg.Coordinator, log: cfg.Logger}
+	jobs, err := server.NewJobs(server.JobsConfig[ChipSubmitRequest, ChipView]{
+		Path: "/v1/chips", Noun: "chip",
+		WALFile: "chips.wal", DataDir: cfg.DataDir,
+		Queue:        cfg.Queue,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		Logger:       cfg.Logger,
+		MintID:       newTraceID,
+		Prepare:      s.prepare,
+		View:         func(snap jobqueue.Snapshot, _ any) ChipView { return chipView(snap) },
+		List: func(views []ChipView, next string) any {
+			return ChipListResponse{Chips: views, NextAfter: next}
+		},
 	})
-	mux.HandleFunc("GET /v1/chips", s.handleList)
-	mux.HandleFunc("GET /v1/chips/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /v1/chips/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/chips/{id}/progress", s.handleProgress)
-	mux.HandleFunc("GET /v1/chips/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/chips/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /statusz", s.handleStatusz)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if s.q.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "draining"})
-			return
-		}
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !s.ready.Load() || s.q.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "not ready"})
-			return
-		}
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	if err != nil {
+		return nil, err
+	}
+	s.Jobs = jobs
+	s.HandleFunc("GET /v1/chips/{id}/progress", s.handleProgress)
+	s.HandleFunc("GET /v1/chips/{id}/events", s.handleEvents)
+	s.HandleFunc("GET /v1/chips/{id}/trace", s.handleTrace)
+	s.HandleFunc("GET /statusz", s.handleStatusz)
+	s.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s.reg.Write(w)
+		reg.Write(w)
 	})
-	s.mux = mux
 	return s, nil
 }
 
-func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// SetReady flips /readyz; pilfill-coord calls SetReady(false) at SIGTERM
-// before draining, mirroring pilfilld. Going not-ready also releases every
-// open progress stream with a terminal "shutdown" event — an SSE client
-// must not be what keeps a draining coordinator alive.
-func (s *Service) SetReady(ready bool) {
-	s.ready.Store(ready)
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	select {
-	case <-s.drainCh:
-		if ready {
-			s.drainCh = make(chan struct{})
-		}
-	default:
-		if !ready {
-			close(s.drainCh)
-		}
+// prepare validates a chip submission cheaply up front, so defective ones
+// fail with 400 instead of a Failed job (method, layout source and kernel
+// are the usual typos), and wraps it in a task feeding a fresh ChipRun.
+func (s *Service) prepare(req *ChipSubmitRequest, trace string) (server.Submission, error) {
+	if _, ok := server.ParseMethod(req.Job.Method); !ok {
+		return server.Submission{}, fmt.Errorf("unknown method %q", req.Job.Method)
 	}
-}
-
-// drain returns the channel closed when the service stops being ready.
-func (s *Service) drain() <-chan struct{} {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	return s.drainCh
-}
-
-// Shutdown drains the chip queue and closes the WAL; open event streams are
-// released first.
-func (s *Service) Shutdown(ctx context.Context) error {
-	s.SetReady(false)
-	err := s.q.Shutdown(ctx)
-	if werr := s.wal.Close(); err == nil {
-		err = werr
+	if req.Job.DEF == "" && (req.Job.CellsX <= 0 || req.Job.CellsY <= 0) {
+		return server.Submission{}, errors.New("chip job needs an inline def or cells_x/cells_y")
 	}
-	return err
-}
-
-// chipTask wraps one chip job for the queue, feeding its ChipRun.
-func (s *Service) chipTask(job ChipJob, run *ChipRun) jobqueue.Task {
-	return func(ctx context.Context, setPhase func(string)) (any, error) {
-		setPhase("prepare")
-		run.setState("preparing")
-		prep, err := PrepareChip(job)
-		if err != nil {
-			run.setState("failed")
-			return nil, err
-		}
-		setPhase("scatter")
-		return s.coord.RunChipObserved(ctx, prep, run)
+	if _, err := ParseKernel(req.Job.withDefaults().Kernel); err != nil {
+		return server.Submission{}, err
 	}
-}
-
-// registerRun indexes a chip's ChipRun by job ID and sweeps entries the
-// queue no longer remembers, so the map tracks queue retention.
-func (s *Service) registerRun(id string, run *ChipRun) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for old := range s.runs {
-		if _, err := s.q.Get(old); err != nil {
-			delete(s.runs, old)
-		}
-	}
-	s.runs[id] = run
+	run := NewChipRun(trace, req.Job.CollectTrace)
+	job := req.Job
+	return server.Submission{
+		Task: func(ctx context.Context, setPhase func(string)) (any, error) {
+			setPhase("prepare")
+			run.setState("preparing")
+			prep, err := PrepareChip(job)
+			if err != nil {
+				run.setState("failed")
+				return nil, err
+			}
+			setPhase("scatter")
+			return s.coord.RunChipObserved(ctx, prep, run)
+		},
+		Key:   req.Key,
+		Trace: run.TraceID,
+		Meta:  run,
+	}, nil
 }
 
 // runOf returns the ChipRun for a job ID, nil when unknown.
 func (s *Service) runOf(id string) *ChipRun {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs[id]
-}
-
-// chipFinished is the queue's OnFinish hook: the WAL done record. Cancelled
-// chips stay unfinished in the log so a restart resubmits them (the region
-// WAL makes the rerun cheap).
-func (s *Service) chipFinished(snap jobqueue.Snapshot) {
-	s.mu.Lock()
-	key := s.keys[snap.ID]
-	delete(s.keys, snap.ID)
-	s.mu.Unlock()
-	if key == "" || snap.State == jobqueue.Cancelled {
-		return
-	}
-	if err := s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALDone, Key: key}); err != nil {
-		s.logWarn("chip wal done append failed", "key", key, "err", err)
-	}
-}
-
-// replay resubmits every accepted-but-unfinished chip from the WAL.
-func (s *Service) replay(recs []jobqueue.WALRecord) error {
-	for _, rec := range jobqueue.WALUnfinished(recs) {
-		var req ChipSubmitRequest
-		if err := json.Unmarshal(rec.Payload, &req); err != nil {
-			// A payload this process can no longer parse would wedge every
-			// startup; mark it done and move on.
-			s.logWarn("dropping unreadable chip wal record", "key", rec.Key, "err", err)
-			if err := s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALDone, Key: rec.Key}); err != nil {
-				return err
-			}
-			continue
-		}
-		run := NewChipRun("", req.Job.CollectTrace)
-		snap, deduped, err := s.q.SubmitKeyed(s.chipTask(req.Job, run), jobqueue.SubmitOptions{Key: rec.Key, Trace: run.TraceID})
-		if err != nil {
-			return fmt.Errorf("cluster: replay chip %s: %w", rec.Key, err)
-		}
-		if !deduped {
-			s.mu.Lock()
-			s.keys[snap.ID] = rec.Key
-			s.runs[snap.ID] = run
-			s.mu.Unlock()
-			s.logInfo("replayed chip job", "key", rec.Key, "id", snap.ID, "trace", run.TraceID)
-		}
-	}
-	return nil
-}
-
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req ChipSubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	// Validate cheaply up front so defective submissions fail with 400, not
-	// a Failed job: method, layout source and kernel are the usual typos.
-	if _, ok := server.ParseMethod(req.Job.Method); !ok {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("unknown method %q", req.Job.Method)})
-		return
-	}
-	if req.Job.DEF == "" && (req.Job.CellsX <= 0 || req.Job.CellsY <= 0) {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "chip job needs an inline def or cells_x/cells_y"})
-		return
-	}
-	if _, err := ParseKernel(req.Job.withDefaults().Kernel); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-
-	run := NewChipRun(r.Header.Get("X-Request-ID"), req.Job.CollectTrace)
-	snap, deduped, err := s.q.SubmitKeyed(s.chipTask(req.Job, run), jobqueue.SubmitOptions{Key: req.Key, Trace: run.TraceID})
-	switch {
-	case deduped:
-		writeJSON(w, http.StatusOK, s.viewOf(snap))
-		return
-	case err == jobqueue.ErrQueueFull:
-		writeJSON(w, http.StatusTooManyRequests, server.ErrorResponse{Error: "queue full, retry later"})
-		return
-	case err == jobqueue.ErrDraining:
-		writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "coordinator is draining"})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-	s.registerRun(snap.ID, run)
-	if req.Key != "" {
-		s.mu.Lock()
-		s.keys[snap.ID] = req.Key
-		s.mu.Unlock()
-		payload, merr := json.Marshal(req)
-		if merr == nil {
-			merr = s.wal.Append(jobqueue.WALRecord{Type: jobqueue.WALAccept, Key: req.Key, Payload: payload})
-		}
-		if merr != nil {
-			s.logWarn("chip wal accept append failed", "key", req.Key, "err", merr)
-		}
-	}
-	s.logInfo("chip job accepted", "id", snap.ID, "key", req.Key,
-		"method", req.Job.Method, "trace", run.TraceID)
-	writeJSON(w, http.StatusAccepted, s.viewOf(snap))
-}
-
-func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("bad limit %q", v)})
-			return
-		}
-		limit = n
-	}
-	snaps, next := s.q.ListPage(r.URL.Query().Get("after"), limit)
-	resp := ChipListResponse{Chips: make([]ChipView, 0, len(snaps)), NextAfter: next}
-	for _, snap := range snaps {
-		resp.Chips = append(resp.Chips, s.viewOf(snap))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.q.Get(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.viewOf(snap))
-}
-
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.q.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.viewOf(snap))
+	run, _ := s.Meta(id).(*ChipRun)
+	return run
 }
 
 // chipProgressView is the wire form of GET /v1/chips/{id}/progress and each
@@ -409,17 +191,9 @@ func (s *Service) progressView(snap jobqueue.Snapshot) chipProgressView {
 }
 
 func (s *Service) handleProgress(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.q.Get(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
-		return
+	if snap, ok := s.Lookup(w, r.PathValue("id")); ok {
+		server.WriteJSON(w, http.StatusOK, s.progressView(snap))
 	}
-	writeJSON(w, http.StatusOK, s.progressView(snap))
-}
-
-// terminalChip reports whether a chip job state is final.
-func terminalChip(st jobqueue.State) bool {
-	return st == jobqueue.Done || st == jobqueue.Failed || st == jobqueue.Cancelled
 }
 
 // handleEvents streams progress snapshots as server-sent events until the
@@ -428,24 +202,23 @@ func terminalChip(st jobqueue.State) bool {
 // client cannot wedge a SIGTERM.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, err := s.q.Get(id); err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
+	if _, ok := s.Lookup(w, id); !ok {
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: "streaming unsupported"})
+		server.WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	drain := s.drain()
+	drain := s.Unready()
 	ticker := time.NewTicker(100 * time.Millisecond)
 	defer ticker.Stop()
 	for {
-		snap, err := s.q.Get(id)
+		snap, err := s.Queue().Get(id)
 		if err != nil {
 			fmt.Fprintf(w, "event: end\ndata: {\"state\":\"gone\"}\n\n")
 			fl.Flush()
@@ -453,7 +226,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		data, _ := json.Marshal(s.progressView(snap))
 		fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
-		if terminalChip(snap.State) {
+		if snap.State.Terminal() {
 			fmt.Fprintf(w, "event: end\ndata: {\"state\":%q}\n\n", snap.State.String())
 			fl.Flush()
 			return
@@ -475,40 +248,36 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 // collect_trace chip.
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	snap, err := s.q.Get(id)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: err.Error()})
+	snap, ok := s.Lookup(w, id)
+	if !ok {
 		return
 	}
 	run := s.runOf(id)
 	if run == nil || !run.CollectsTraces() {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: "chip did not collect traces (set job.collect_trace)"})
+		server.WriteError(w, http.StatusNotFound, "chip did not collect traces (set job.collect_trace)")
 		return
 	}
-	if !terminalChip(snap.State) {
-		writeJSON(w, http.StatusConflict, server.ErrorResponse{Error: "trace is available once the chip finishes"})
+	if !snap.State.Terminal() {
+		server.WriteError(w, http.StatusConflict, "trace is available once the chip finishes")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := run.WriteMergedTrace(w); err != nil {
-		s.logWarn("merged trace write failed", "id", id, "err", err)
+		if s.log != nil {
+			s.log.Warn("merged trace write failed", "id", id, "err", err)
+		}
 	}
 }
 
-func (s *Service) viewOf(snap jobqueue.Snapshot) ChipView {
+// chipView is the wire form of a chip job snapshot.
+func chipView(snap jobqueue.Snapshot) ChipView {
 	v := ChipView{
 		ID:        snap.ID,
 		Key:       snap.Key,
 		State:     snap.State.String(),
 		Submitted: snap.Submitted,
-	}
-	if !snap.Started.IsZero() {
-		t := snap.Started
-		v.Started = &t
-	}
-	if !snap.Finished.IsZero() {
-		t := snap.Finished
-		v.Finished = &t
+		Started:   server.TimeOrNil(snap.Started),
+		Finished:  server.TimeOrNil(snap.Finished),
 	}
 	if snap.Err != nil {
 		v.Error = snap.Err.Error()
@@ -522,22 +291,4 @@ func (s *Service) viewOf(snap jobqueue.Snapshot) ChipView {
 		}
 	}
 	return v
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *Service) logInfo(msg string, args ...any) {
-	if s.log != nil {
-		s.log.Info(msg, args...)
-	}
-}
-
-func (s *Service) logWarn(msg string, args ...any) {
-	if s.log != nil {
-		s.log.Warn(msg, args...)
-	}
 }

@@ -43,9 +43,9 @@ func (s *Service) statuszData(r *http.Request) statuszData {
 		Now:     time.Now(),
 		Workers: s.coord.WorkerStatuses(r.Context()),
 		Coord:   s.coord.Stats(),
-		Queue:   s.q.Stats(),
+		Queue:   s.Queue().Stats(),
 	}
-	snaps, _ := s.q.ListPage("", statuszChipLimit)
+	snaps, _ := s.Queue().ListPage("", statuszChipLimit)
 	for _, snap := range snaps {
 		c := statuszChip{ID: snap.ID, State: snap.State.String()}
 		if snap.State == jobqueue.Running {
@@ -83,12 +83,14 @@ func insertSlowTileMS(list []server.TileMS, t server.TileMS) []server.TileMS {
 func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	d := s.statuszData(r)
 	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, d)
+		server.WriteJSON(w, http.StatusOK, d)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := statuszTmpl.Execute(w, d); err != nil {
-		s.logWarn("statusz render failed", "err", err)
+		if s.log != nil {
+			s.log.Warn("statusz render failed", "err", err)
+		}
 	}
 }
 

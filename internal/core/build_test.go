@@ -124,7 +124,7 @@ func TestFreeRowsCenterOutMatchesSort(t *testing.T) {
 // build, and keep ΔC(0) = 0.
 func TestRunsLeaveCapTablesUntouched(t *testing.T) {
 	cache := cap.NewTableCache()
-	eng, budget := chipEngine(t, 2, 8, Config{Seed: 3, Cache: cache, NoSolveMemo: true, NetCap: 0.0005e-12})
+	eng, budget := chipEngine(t, 2, 8, Config{Seed: 3, Cache: cache, NetCap: 0.0005e-12})
 	instances := mustInstances(t, eng, budget)
 	type key struct {
 		d    int64

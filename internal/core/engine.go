@@ -107,20 +107,13 @@ type Config struct {
 	// construction; nil selects cap.Shared, the process-wide cache that
 	// reuses tables across columns, tiles, and sessions.
 	Cache *cap.TableCache
-	// NoTableCache disables table memoization entirely (every column builds
-	// its own table, the pre-cache behavior); used by benchmarks and the
-	// cache-correctness tests.
-	NoTableCache bool
-	// Memo overrides the solve memo consulted before each tile solve; nil
-	// selects SharedSolveMemo, the process-wide memo that reuses solved tile
-	// patterns across runs and sessions. Results are bit-identical with the
-	// memo on or off (see memo.go); only the work to produce them changes.
+	// Memo is the solve memo consulted before each tile solve; nil disables
+	// memoization (every tile is solved from scratch). SharedSolveMemo is
+	// the process-wide memo that reuses solved tile patterns across runs and
+	// sessions, and the one pilfill.Options.EngineConfig selects. Results
+	// are bit-identical with the memo on or off (see memo.go); only the work
+	// to produce them changes.
 	Memo *SolveMemo
-	// NoSolveMemo disables tile-solve memoization entirely (every tile is
-	// solved from scratch, the pre-memo behavior); used by benchmarks — the
-	// solve-path allocation and timing figures would otherwise measure memo
-	// hits — and the memo-correctness tests.
-	NoSolveMemo bool
 	// Trace optionally records hierarchical spans (prep → analyze/extract,
 	// run → tile → solve, ilp progress instants) into the observability
 	// layer's ring buffer. A nil tracer is free: every span call is an
@@ -183,8 +176,8 @@ type Engine struct {
 	// each Instances call).
 	Prep PrepStats
 
-	cache    *cap.TableCache // nil when Config.NoTableCache
-	memo     *SolveMemo      // nil when Config.NoSolveMemo
+	cache    *cap.TableCache // Config.Cache, or cap.Shared
+	memo     *SolveMemo      // Config.Memo; nil when memoization is off
 	prepSpan obs.SpanID      // the "prep" span, parent of later build spans
 
 	// scratchFree pools worker SolveScratches across runs (see
@@ -283,23 +276,16 @@ func NewEngine(l *layout.Layout, dis *layout.Dissection, rule layout.FillRule, c
 		L: l, Dis: dis, Grid: grid, Occ: occ, Rule: rule, Cfg: cfg,
 		Analyses: analyses, Tiles: tiles,
 		prepSpan: prep.ID(),
+		cache:    cfg.Cache,
+		memo:     cfg.Memo,
+	}
+	if e.cache == nil {
+		e.cache = cap.Shared
 	}
 	e.Prep.Analyze = analyzeDur
 	e.Prep.Extract = time.Since(extractStart)
 	e.Prep.Total = time.Since(start)
 	prep.End()
-	if !cfg.NoTableCache {
-		e.cache = cfg.Cache
-		if e.cache == nil {
-			e.cache = cap.Shared
-		}
-	}
-	if !cfg.NoSolveMemo {
-		e.memo = cfg.Memo
-		if e.memo == nil {
-			e.memo = SharedSolveMemo
-		}
-	}
 	return e, nil
 }
 
@@ -313,15 +299,10 @@ func (e *Engine) MemoStats() MemoStats {
 	return e.memo.Stats()
 }
 
-// CacheStats snapshots the engine's capacitance-table cache counters (zero
-// when caching is disabled). Note the default cache is process-wide, so the
-// counters span every engine sharing it.
-func (e *Engine) CacheStats() cap.CacheStats {
-	if e.cache == nil {
-		return cap.CacheStats{}
-	}
-	return e.cache.Stats()
-}
+// CacheStats snapshots the engine's capacitance-table cache counters. Note
+// the default cache is process-wide, so the counters span every engine
+// sharing it.
+func (e *Engine) CacheStats() cap.CacheStats { return e.cache.Stats() }
 
 // Instances builds the per-tile MDFC instances for a fill budget. Tiles with
 // a zero budget produce no instance. Budgets exceeding a tile's slack-column

@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 
-	"pilfill/internal/cap"
 	"pilfill/internal/scanline"
 )
 
@@ -213,14 +212,7 @@ func (e *Engine) buildInstance(i, j int, want int) (*Instance, error) {
 		cv.Col, cv.MaxM, cv.NetLow, cv.NetHigh = col, col.Capacity, -1, -1
 		if col.HasLow || col.HasHigh {
 			d := col.Spacing()
-			var tbl cap.Table
-			if e.cache != nil {
-				tbl = e.cache.Table(proc, rule.Feature, d, col.Capacity, e.Cfg.Grounded)
-			} else if e.Cfg.Grounded {
-				tbl = proc.BuildGroundedTable(rule.Feature, d, col.Capacity)
-			} else {
-				tbl = proc.BuildTable(rule.Feature, d, col.Capacity)
-			}
+			tbl := e.cache.Table(proc, rule.Feature, d, col.Capacity, e.Cfg.Grounded)
 			if tbl.MaxM() < cv.MaxM {
 				// Geometry guarantees capacity*pitch <= gap, so a shorter
 				// table means the extraction and the capacitance model

@@ -164,7 +164,7 @@ func TestMemoOnOffBitIdentical(t *testing.T) {
 		}
 		return eng
 	}
-	off := newEng(Config{Layer: 0, Seed: 42, NoSolveMemo: true})
+	off := newEng(Config{Layer: 0, Seed: 42})
 	on := newEng(Config{Layer: 0, Seed: 42, Memo: NewSolveMemo()})
 	_, budget := buildEngine(t, false, scanline.DefIII)
 	insOff := mustInstances(t, off, budget)
@@ -197,7 +197,7 @@ func TestMemoConcurrentRunsShareMemo(t *testing.T) {
 	// `make race`) must all produce the baseline result.
 	l, d := smallLayout(t)
 	memo := NewSolveMemo()
-	base, err := NewEngine(l, d, testRule, Config{Layer: 0, Seed: 42, NoSolveMemo: true})
+	base, err := NewEngine(l, d, testRule, Config{Layer: 0, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

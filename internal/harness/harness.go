@@ -160,6 +160,7 @@ func RunRowObs(caseName string, w, r int, weighted bool, ob Obs) (*Row, error) {
 		Weighted: weighted,
 		Seed:     1,
 		ILPOpts:  ilp.Options{MaxNodes: 20000},
+		Memo:     core.SharedSolveMemo,
 		Trace:    ob.Trace,
 		Logger:   ob.Logger,
 		SlowTile: ob.SlowTile,

@@ -214,9 +214,27 @@ type MemoPayload struct {
 // serialization of a Report — the daemon's GET response and the CLI's -json
 // output both go through it.
 func BuildReport(s *pilfill.Session, rep *pilfill.Report) *ReportPayload {
-	res := rep.Result
+	p := resultReport(rep.Result, max(1, s.Engine.Cfg.Workers))
+	p.Density = DensityPayload{
+		MinBefore: rep.MinBefore,
+		MaxBefore: rep.MaxBefore,
+		MinAfter:  rep.MinAfter,
+		MaxAfter:  rep.MaxAfter,
+	}
+	if cs := s.CacheStats(); cs.Hits+cs.Misses > 0 {
+		p.Cache = &CachePayload{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries}
+	}
+	if ms := s.MemoStats(); ms.Hits+ms.Misses > 0 {
+		p.Memo = &MemoPayload{Hits: ms.Hits, Misses: ms.Misses, Stored: ms.Stored, Entries: ms.Entries}
+	}
+	return p
+}
+
+// resultReport is the part of a report one engine run determines: the
+// totals, times and phase breakdown shared by whole-layout and region jobs.
+func resultReport(res *core.Result, workers int) *ReportPayload {
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
-	p := &ReportPayload{
+	return &ReportPayload{
 		Method:        res.Method.String(),
 		Requested:     res.Requested,
 		Placed:        res.Placed,
@@ -228,28 +246,16 @@ func BuildReport(s *pilfill.Session, rep *pilfill.Report) *ReportPayload {
 		WeightedPS:    res.Weighted * 1e12,
 		SolveCPUMS:    ms(res.CPU),
 		WallMS:        ms(res.Wall),
-		Workers:       max(1, s.Engine.Cfg.Workers),
+		Workers:       workers,
 		PhasesMS: PhasesPayload{
 			Preprocess: ms(res.Phases.Preprocess),
 			Solve:      ms(res.Phases.Solve),
 			Evaluate:   ms(res.Phases.Evaluate),
 			Place:      ms(res.Phases.Place),
 		},
-		Density: DensityPayload{
-			MinBefore: rep.MinBefore,
-			MaxBefore: rep.MaxBefore,
-			MinAfter:  rep.MinAfter,
-			MaxAfter:  rep.MaxAfter,
-		},
+		MemoHits:   res.MemoHits,
+		MemoMisses: res.MemoMisses,
 	}
-	if cs := s.CacheStats(); cs.Hits+cs.Misses > 0 {
-		p.Cache = &CachePayload{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries}
-	}
-	p.MemoHits, p.MemoMisses = res.MemoHits, res.MemoMisses
-	if ms := s.MemoStats(); ms.Hits+ms.Misses > 0 {
-		p.Memo = &MemoPayload{Hits: ms.Hits, Misses: ms.Misses, Stored: ms.Stored, Entries: ms.Entries}
-	}
-	return p
 }
 
 // ParseMethod resolves the CLI/API method spellings (case-insensitive).
@@ -283,15 +289,9 @@ func viewOf(snap jobqueue.Snapshot, method string) JobView {
 		State:     snap.State.String(),
 		Method:    method,
 		Submitted: snap.Submitted,
+		Started:   TimeOrNil(snap.Started),
+		Finished:  TimeOrNil(snap.Finished),
 		TraceID:   snap.Trace,
-	}
-	if !snap.Started.IsZero() {
-		t := snap.Started
-		v.Started = &t
-	}
-	if !snap.Finished.IsZero() {
-		t := snap.Finished
-		v.Finished = &t
 	}
 	if snap.Err != nil {
 		v.Error = snap.Err.Error()

@@ -18,7 +18,6 @@ import (
 	"hash"
 	"hash/fnv"
 	"strings"
-	"time"
 
 	"pilfill"
 	"pilfill/internal/core"
@@ -160,15 +159,11 @@ func validateRegion(spec *RegionSpec) (layout.FillRule, error) {
 	return rule, nil
 }
 
-// regionTask builds the queue task for a region job. It mirrors defaultTask's
-// validate-up-front shape but drives core.Engine directly: the budget comes
-// from the coordinator (computed once for the whole chip), so the session
-// layer's own density budgeting must not run.
-func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter) (jobqueue.Task, error) {
-	m, ok := ParseMethod(req.Method)
-	if !ok {
-		return nil, fmt.Errorf("unknown method %q", req.Method)
-	}
+// regionTask builds the queue task for a region job, given defaultTask's
+// validated method and options. It drives core.Engine directly: the budget
+// comes from the coordinator (computed once for the whole chip), so the
+// session layer's own density budgeting must not run.
+func regionTask(req *SubmitRequest, m core.Method, opts pilfill.Options, progressTiles *obs.Counter) (jobqueue.Task, error) {
 	if req.DEF == "" {
 		return nil, errors.New("region jobs require an inline def")
 	}
@@ -177,11 +172,6 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.Options.SessionOptions()
-	if err != nil {
-		return nil, err
-	}
-	opts.Workers = EffectiveWorkers(opts.Workers, queueWorkers)
 	collectTrace := req.Options.CollectTrace
 	defText := req.DEF
 
@@ -255,13 +245,15 @@ func regionTask(req *SubmitRequest, queueWorkers int, progressTiles *obs.Counter
 	}, nil
 }
 
-// buildRegionReport folds a region run into the wire payload: the standard
-// top-level figures (so worker metrics and job views read normally) plus the
-// RegionPayload merge inputs in chip coordinates.
-func buildRegionReport(spec *RegionSpec, l *layout.Layout, res *core.Result, workers int) *ReportPayload {
-	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+// NewRegionPayload folds a region run's result into the merge inputs:
+// fill sites translated into chip coordinates by the column and row offsets
+// (in placement order, hashed), delay subtotals, per-net subtotals keyed by
+// net name and the slowest tiles. Region workers pass their stripe's
+// offsets; the cluster's single-process reference solves on the whole chip
+// and passes zero, so both merge through identical payloads.
+func NewRegionPayload(id string, l *layout.Layout, res *core.Result, colOff, rowOff int) *RegionPayload {
 	rp := &RegionPayload{
-		ID:         spec.ID,
+		ID:         id,
 		Tiles:      res.Tiles,
 		Requested:  res.Requested,
 		Placed:     res.Placed,
@@ -276,7 +268,7 @@ func buildRegionReport(spec *RegionSpec, l *layout.Layout, res *core.Result, wor
 	}
 	fh := NewFillHasher()
 	for _, f := range res.Fill.Fills {
-		col, row := f.Col+spec.ColOff, f.Row+spec.RowOff
+		col, row := f.Col+colOff, f.Row+rowOff
 		rp.Fills = append(rp.Fills, [2]int{col, row})
 		fh.Add(col, row)
 	}
@@ -289,26 +281,13 @@ func buildRegionReport(spec *RegionSpec, l *layout.Layout, res *core.Result, wor
 			rp.PerNet[l.Nets[n].Name] = v
 		}
 	}
-	return &ReportPayload{
-		Method:       res.Method.String(),
-		Requested:    res.Requested,
-		Placed:       res.Placed,
-		Tiles:        res.Tiles,
-		ILPNodes:     res.ILPNodes,
-		LPPivots:     res.LPPivots,
-		UnweightedPS: res.Unweighted * 1e12,
-		WeightedPS:   res.Weighted * 1e12,
-		SolveCPUMS:   ms(res.CPU),
-		WallMS:       ms(res.Wall),
-		Workers:      workers,
-		PhasesMS: PhasesPayload{
-			Preprocess: ms(res.Phases.Preprocess),
-			Solve:      ms(res.Phases.Solve),
-			Evaluate:   ms(res.Phases.Evaluate),
-			Place:      ms(res.Phases.Place),
-		},
-		MemoHits:   res.MemoHits,
-		MemoMisses: res.MemoMisses,
-		Region:     rp,
-	}
+	return rp
+}
+
+// buildRegionReport wraps a region run's merge inputs in the standard
+// top-level figures, so worker metrics and job views read normally.
+func buildRegionReport(spec *RegionSpec, l *layout.Layout, res *core.Result, workers int) *ReportPayload {
+	p := resultReport(res, workers)
+	p.Region = NewRegionPayload(spec.ID, l, res, spec.ColOff, spec.RowOff)
+	return p
 }

@@ -113,10 +113,6 @@ type Options struct {
 	// Grounded models tied-to-ground fill instead of floating fill:
 	// heavier loading, crosstalk shielding. See core.Config.Grounded.
 	Grounded bool
-	// NoTableCache disables the capacitance-table memo cache (every column
-	// rebuilds its own table); results are identical either way. Mainly for
-	// benchmarking the cache itself.
-	NoTableCache bool
 	// NoSolveMemo disables the content-hash tile-solve memo (every tile is
 	// solved from scratch); results are bit-identical either way. Mainly for
 	// benchmarking the memo itself.
@@ -175,13 +171,14 @@ func (o Options) EngineConfig() core.Config {
 		Activity:      o.Activity,
 		Workers:       o.Workers,
 		Grounded:      o.Grounded,
-		NoTableCache:  o.NoTableCache,
-		NoSolveMemo:   o.NoSolveMemo,
 		Trace:         o.Trace,
 		Logger:        o.Logger,
 		SlowTile:      o.SlowTileThreshold,
 		ProgressNodes: o.ProgressNodes,
 		OnTile:        o.OnTile,
+	}
+	if !o.NoSolveMemo {
+		cfg.Memo = core.SharedSolveMemo
 	}
 	if o.ILPNodeLimit > 0 {
 		cfg.ILPOpts = ilp.Options{MaxNodes: o.ILPNodeLimit}
@@ -382,9 +379,8 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// CacheStats snapshots the engine's capacitance-table cache counters; zero
-// when Options.NoTableCache was set. The default cache is process-wide, so
-// sessions sharing it see cumulative figures.
+// CacheStats snapshots the engine's capacitance-table cache counters. The
+// cache is process-wide, so sessions sharing it see cumulative figures.
 func (s *Session) CacheStats() cap.CacheStats { return s.Engine.CacheStats() }
 
 // MemoStats snapshots the engine's tile-solve memo counters; zero when
