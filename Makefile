@@ -22,7 +22,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/jobqueue ./internal/server ./internal/obs ./internal/shard ./internal/cluster
+	$(GO) test -race ./internal/core/... ./internal/jobqueue ./internal/server ./internal/obs ./internal/shard ./internal/cluster ./internal/par ./internal/scanline
 
 # Cluster bit-identity smoke test under the race detector: in-process
 # multi-worker scatter/gather (including the kill-a-worker fault path) must

@@ -30,6 +30,7 @@ import (
 	"os"
 	"time"
 
+	"pilfill/internal/cluster"
 	"pilfill/internal/core"
 	"pilfill/internal/density"
 	"pilfill/internal/layout"
@@ -147,8 +148,7 @@ func runMode(eng *core.Engine, method core.Method, master density.Budget, stripe
 	}
 	agg := &ModeStats{}
 	perNet := make([]float64, nets)
-	fills := fnv.New64a()
-	var buf [16]byte
+	fills := server.NewFillHasher()
 	for s := 0; s < nx; s += stripe {
 		hi := min(s+stripe, nx)
 		for i := s; i < hi; i++ {
@@ -188,18 +188,17 @@ func runMode(eng *core.Engine, method core.Method, master density.Budget, stripe
 		for n, v := range res.PerNet {
 			perNet[n] += v
 		}
-		agg.fillCount += len(res.Fill.Fills)
 		for _, f := range res.Fill.Fills {
-			binary.LittleEndian.PutUint64(buf[0:8], uint64(int64(f.Col)))
-			binary.LittleEndian.PutUint64(buf[8:16], uint64(int64(f.Row)))
-			fills.Write(buf[:])
+			fills.Add(f.Col, f.Row)
 		}
 	}
-	agg.FillHash = fmt.Sprintf("%016x", fills.Sum64())
+	agg.FillHash = fills.Sum()
+	agg.fillCount = fills.Count()
 	pn := fnv.New64a()
+	var buf [8]byte
 	for _, v := range perNet {
-		binary.LittleEndian.PutUint64(buf[0:8], math.Float64bits(v))
-		pn.Write(buf[:8])
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		pn.Write(buf[:])
 	}
 	agg.perNetHash = pn.Sum64()
 	return agg, nil
@@ -246,16 +245,9 @@ func main() {
 	if !ok {
 		fail("unknown method %q", *methodF)
 	}
-	var kind density.KernelKind
-	switch *kernelF {
-	case "flat":
-		kind = density.FlatKernel
-	case "elliptic":
-		kind = density.EllipticKernel
-	case "gaussian":
-		kind = density.GaussianKernel
-	default:
-		fail("unknown kernel %q", *kernelF)
+	kind, err := cluster.ParseKernel(*kernelF)
+	if err != nil {
+		fail("%v", err)
 	}
 	progress := func(format string, args ...any) {
 		if !*quietOut {

@@ -7,17 +7,28 @@ import (
 
 func smallSession(t *testing.T) *Session {
 	t.Helper()
+	return smallSessionWith(t, nil)
+}
+
+// smallSessionWith is smallSession with its options adjusted by edit
+// (nil leaves them as they are).
+func smallSessionWith(t *testing.T, edit func(*Options)) *Session {
+	t.Helper()
 	l, err := GenerateT1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(l, Options{
+	opts := Options{
 		Window:           32000,
 		R:                4,
 		Rule:             DefaultRuleT1T2(),
 		Seed:             5,
 		TargetMinDensity: 0.15,
-	})
+	}
+	if edit != nil {
+		edit(&opts)
+	}
+	s, err := NewSession(l, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -421,12 +421,15 @@ type TileTime struct {
 }
 
 // solveStats carries one tile solve's deterministic by-products: search
-// effort and warm-start repair outcomes. Memo entries replay them so memo-on
-// and memo-off runs accumulate identical Results.
+// effort, warm-start repair outcomes and fallbacks. Memo entries replay them
+// so memo-on and memo-off runs accumulate identical Results. capFallback
+// marks a tile whose net caps made its fill amount infeasible, so the capped
+// greedy placed what fits (see solveTile).
 type solveStats struct {
 	nodes, pivots           int
 	incRepaired, incDropped bool
 	dualFallback            bool
+	capFallback             bool
 }
 
 // ilpOpts copies the configured branch-and-bound limits and, when the
@@ -490,6 +493,13 @@ func (e *Engine) normalSeed(in *Instance) int64 {
 // tiles can be solved in any order — or concurrently — with identical
 // results. A cancelled context surfaces as the context's error; for the ILP
 // methods the branch-and-bound search itself is interrupted mid-tile.
+//
+// Under a net cap, ILP-II and DualAscent share one policy for a tile whose
+// search ends without a solution (for any reason but cancellation — in
+// practice the cap rows make the fill amount F infeasible): the tile is
+// placed by the capped greedy instead, which places as much as fits, and
+// st.capFallback marks it. The failed search's nodes, pivots and repair
+// flags stay in st.
 func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc *SolveScratch,
 	base *ilp.Options, nc *NetCap, a Assignment, lane int, span obs.SpanID) (solveStats, error) {
 	var st solveStats
@@ -528,6 +538,12 @@ func (e *Engine) solveTile(ctx context.Context, method Method, in *Instance, sc 
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return solveStats{}, ctxErr
 	}
+	if err != nil && nc != nil && (method == ILPII || method == DualAscent) {
+		clear(a) // DualAscent's failed certificate leaves partial writes
+		solveGreedyCappedInto(a, in, nc, sc)
+		st.capFallback = true
+		return st, nil
+	}
 	return st, err
 }
 
@@ -554,6 +570,15 @@ func (e *Engine) Run(method Method, instances []*Instance) (*Result, error) {
 // returns an error wrapping ctx.Err(). A partially solved run yields no
 // partial Result.
 func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Instance) (*Result, error) {
+	return e.run(ctx, method, instances, e.netCap())
+}
+
+// run is the one loop that solves, evaluates and places tiles: RunContext
+// (and RunMVDCContext through it) passes the uniform Config.NetCap,
+// RunBudgetedContext per-net budgets; nc is nil when no cap applies. The
+// memo is bypassed under per-net budgets, since the fingerprint covers only
+// the uniform cap.
+func (e *Engine) run(ctx context.Context, method Method, instances []*Instance, nc *NetCap) (*Result, error) {
 	// Σ F bounds the features placed, so the fill list never regrows.
 	features := 0
 	for _, in := range instances {
@@ -588,16 +613,14 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 	}
 
 	memo := e.memo
-	if memo != nil && !memoizable(method, &e.Cfg.ILPOpts) {
+	if memo != nil && (!memoizable(method, &e.Cfg.ILPOpts) || (nc != nil && nc.PerNet != nil)) {
 		memo = nil
 	}
 	workers := par.Workers(e.Cfg.Workers, len(instances))
 	scs := e.getScratches(workers)
 	defer e.putScratches(scs)
-	// One cancellation closure and one net cap for the whole run, not one
-	// per tile.
+	// One cancellation closure for the whole run, not one per tile.
 	baseOpts := e.ilpOpts(ctx)
-	nc := e.netCap()
 	fc := e.fingerprintConfig(method)
 	solveOne := func(worker, i int) {
 		in := instances[i]
@@ -619,9 +642,7 @@ func (e *Engine) RunContext(ctx context.Context, method Method, instances []*Ins
 				// deterministic by-product match what a fresh solve of this
 				// pattern produces, so downstream accounting is bit-identical.
 				copy(outs[i].a, ent.a)
-				st = solveStats{nodes: ent.nodes, pivots: ent.pivots,
-					incRepaired: ent.incRepaired, incDropped: ent.incDropped,
-					dualFallback: ent.dualFallback}
+				st = ent.st
 				hit = true
 			}
 		}
@@ -734,8 +755,8 @@ func (e *Engine) reduce(ctx context.Context, res *Result, method Method, instanc
 		for _, m := range o.a {
 			placed += m
 		}
-		// Capped methods may under-place; everything else must hit F.
-		if method != GreedyCapped {
+		// Capped placements may under-place; everything else must hit F.
+		if method != GreedyCapped && !o.st.capFallback {
 			if err := in.Valid(o.a); err != nil {
 				return fmt.Errorf("core: %v on tile (%d,%d): %w", method, in.I, in.J, err)
 			}
@@ -891,9 +912,9 @@ func (e *Engine) place(fs *layout.FillSet, in *Instance, a Assignment, rowBuf *[
 // added delay. Columns are filled in cost order, but the take is reduced so
 // no bounding net exceeds its ceiling nc.budgetFor(net), taken literally (a
 // zero budget admits no delay at all); the method may therefore place fewer
-// than F features. A nil nc is the plain greedy. Engine runs pass the
-// uniform Config.NetCap; RunBudgeted's infeasibility fallback passes its
-// per-net budgets.
+// than F features. A nil nc is the plain greedy. It serves GreedyCapped and
+// the cap-infeasible fallback of ILP-II and DualAscent (see solveTile), under
+// the uniform Config.NetCap or RunBudgeted's per-net budgets.
 func solveGreedyCappedInto(a Assignment, in *Instance, nc *NetCap, sc *SolveScratch) {
 	if nc == nil {
 		sc.keys = solveGreedyInto(a, in, sc.keys)

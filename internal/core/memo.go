@@ -38,12 +38,8 @@ type memoKey [sha256.Size]byte
 // by-products a fresh solve would report, replayed on every hit so memo-on
 // and memo-off runs stay bit-identical.
 type memoEntry struct {
-	a            []int
-	nodes        int
-	pivots       int
-	incRepaired  bool
-	incDropped   bool
-	dualFallback bool
+	a  []int
+	st solveStats
 }
 
 const memoShards = 16
@@ -99,14 +95,7 @@ func (c *SolveMemo) lookup(key memoKey) *memoEntry {
 // aliases a run's slab. A concurrent store of the same key wins the write
 // race harmlessly: both entries hold identical results.
 func (c *SolveMemo) store(key memoKey, a []int, st solveStats) {
-	e := &memoEntry{
-		a:            append([]int(nil), a...),
-		nodes:        st.nodes,
-		pivots:       st.pivots,
-		incRepaired:  st.incRepaired,
-		incDropped:   st.incDropped,
-		dualFallback: st.dualFallback,
-	}
+	e := &memoEntry{a: append([]int(nil), a...), st: st}
 	s := c.shard(key)
 	s.mu.Lock()
 	if s.m[key] == nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pilfill/internal/density"
-	"pilfill/internal/layout"
 )
 
 // This file implements the paper's companion formulation sketched in its
@@ -33,7 +32,9 @@ type FillFrontier struct {
 }
 
 // Frontier computes the optimal fill frontier of an instance by recording
-// the marginal-greedy pick sequence up to the tile's full capacity.
+// the marginal-greedy pick sequence up to the tile's full capacity. The pops
+// come off the same heap in the same total order as SolveMarginalGreedy's,
+// so its assignment at F = n places exactly the first n picks.
 func Frontier(in *Instance) *FillFrontier {
 	f := &FillFrontier{Instance: in}
 	h := make(marginalHeap, 0, len(in.Columns))
@@ -45,13 +46,13 @@ func Frontier(in *Instance) *FillFrontier {
 	heap.Init(&h)
 	total := 0.0
 	for h.Len() > 0 {
-		it := heap.Pop(&h).(marginalItem)
+		it := h.popItem()
 		total += it.delta
 		f.Picks = append(f.Picks, it.k)
 		f.Cost = append(f.Cost, total)
 		cv := &in.Columns[it.k]
 		if it.next < cv.MaxM {
-			heap.Push(&h, marginalItem{
+			h.pushItem(marginalItem{
 				k:     it.k,
 				next:  it.next + 1,
 				delta: cv.costAt(it.next+1) - cv.costAt(it.next),
@@ -68,18 +69,6 @@ func (f *FillFrontier) MaxFill(budget float64) int {
 	// search the crossing point.
 	n := sort.Search(len(f.Cost), func(i int) bool { return f.Cost[i] > budget })
 	return n
-}
-
-// AssignmentFor returns the optimal assignment placing the first n picks.
-func (f *FillFrontier) AssignmentFor(n int) Assignment {
-	a := make(Assignment, len(f.Instance.Columns))
-	if n > len(f.Picks) {
-		n = len(f.Picks)
-	}
-	for i := 0; i < n; i++ {
-		a[f.Picks[i]]++
-	}
-	return a
 }
 
 // MVDCResult reports a delay-constrained uniformity maximization.
@@ -101,8 +90,8 @@ func (e *Engine) RunMVDC(grid *density.Grid, tileDelayBudget, targetMin, maxDens
 }
 
 // RunMVDCContext is RunMVDC with cancellation: the context is checked at
-// every tile boundary of both the frontier-construction and materialization
-// passes, so a cancelled or deadline-expired context stops the work and
+// every tile of the frontier pass and then as in RunContext, which places
+// the fill, so a cancelled or deadline-expired context stops the work and
 // returns an error wrapping ctx.Err().
 func (e *Engine) RunMVDCContext(ctx context.Context, grid *density.Grid, tileDelayBudget, targetMin, maxDensity float64) (*MVDCResult, error) {
 	if tileDelayBudget < 0 {
@@ -113,27 +102,25 @@ func (e *Engine) RunMVDCContext(ctx context.Context, grid *density.Grid, tileDel
 	}
 	start := time.Now()
 
-	// Per-tile frontiers and delay-capped capacities.
-	frontiers := make(map[[2]int]*FillFrontier)
-	capped := make([][]int, e.Dis.NX)
-	for i := 0; i < e.Dis.NX; i++ {
+	// Full-capacity instances and their delay-capped capacities.
+	full := make(density.Budget, e.Dis.NX)
+	capped := make(density.Budget, e.Dis.NX)
+	for i := range full {
+		full[i] = make([]int, e.Dis.NY)
 		capped[i] = make([]int, e.Dis.NY)
-		for j := 0; j < e.Dis.NY; j++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: MVDC interrupted: %w", err)
-			}
-			tc := &e.Tiles[i][j]
-			if len(tc.Cols) == 0 {
-				continue
-			}
-			in, err := e.buildInstance(i, j, tc.TotalCapacity())
-			if err != nil {
-				return nil, err
-			}
-			fr := Frontier(in)
-			frontiers[[2]int{i, j}] = fr
-			capped[i][j] = fr.MaxFill(tileDelayBudget)
+		for j := range full[i] {
+			full[i][j] = e.Tiles[i][j].TotalCapacity()
 		}
+	}
+	instances, err := e.Instances(full)
+	if err != nil {
+		return nil, err
+	}
+	for _, in := range instances {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: MVDC interrupted: %w", err)
+		}
+		capped[in.I][in.J] = Frontier(in).MaxFill(tileDelayBudget)
 	}
 
 	// Budget for uniformity under the capped slack.
@@ -152,51 +139,18 @@ func (e *Engine) RunMVDCContext(ctx context.Context, grid *density.Grid, tileDel
 		return nil, fmt.Errorf("core: MVDC budgeting: %w", err)
 	}
 
-	// Materialize each tile's frontier prefix.
-	res := &Result{
-		Method: MarginalGreedy,
-		Fill:   &layout.FillSet{Grid: e.Grid, Layer: e.Cfg.Layer},
-		PerNet: make([]float64, len(e.L.Nets)),
-	}
-	for i := 0; i < e.Dis.NX; i++ {
-		for j := 0; j < e.Dis.NY; j++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: MVDC interrupted: %w", err)
-			}
-			n := budget[i][j]
-			if n <= 0 {
-				continue
-			}
-			fr := frontiers[[2]int{i, j}]
-			if fr == nil {
-				continue
-			}
-			a := fr.AssignmentFor(n)
-			u, w, err := fr.Instance.Evaluate(a)
-			if err != nil {
-				return nil, fmt.Errorf("core: MVDC tile (%d,%d): %w", i, j, err)
-			}
-			res.Unweighted += u
-			res.Weighted += w
-			placed := 0
-			for _, m := range a {
-				placed += m
-			}
-			res.Requested += n
-			res.Placed += placed
-			res.Tiles++
-			if err := e.accumulatePerNet(res.PerNet, fr.Instance, a); err != nil {
-				return nil, fmt.Errorf("core: MVDC tile (%d,%d): %w", i, j, err)
-			}
-			if err := e.place(res.Fill, fr.Instance, a, nil); err != nil {
-				return nil, fmt.Errorf("core: MVDC tile (%d,%d): %w", i, j, err)
-			}
+	// Each tile places its frontier prefix: MarginalGreedy at F = budget.
+	kept := instances[:0]
+	for _, in := range instances {
+		if in.F = budget[in.I][in.J]; in.F > 0 {
+			kept = append(kept, in)
 		}
 	}
+	res, err := e.RunContext(ctx, MarginalGreedy, kept)
+	if err != nil {
+		return nil, err
+	}
 	res.Wall = time.Since(start)
-	res.CPU = res.Wall // MVDC runs serially; frontier work is the solve
-	res.Phases.Solve = res.CPU
-	res.Phases.Preprocess = e.Prep.Total
 	return &MVDCResult{
 		Result:      res,
 		Budget:      budget,
@@ -231,16 +185,18 @@ func (e *Engine) NetBudgets(fraction, minBudget float64) []float64 {
 // RunBudgeted places the instances with ILP-II under per-net delay budgets:
 // each net's total added unweighted delay within a tile is bounded by its
 // budget divided evenly across the tiles it borders (a conservative split,
-// since budgets are per net but tiles are solved independently). Infeasible
-// tiles fall back to the budget-respecting greedy, placing as much as fits.
+// since budgets are per net but tiles are solved independently). It runs
+// through RunContext's loop, so tiles whose caps make the fill amount
+// infeasible fall back to the budget-respecting greedy, placing as much as
+// fits, exactly as under a uniform Config.NetCap.
 func (e *Engine) RunBudgeted(instances []*Instance, netBudgets []float64) (*Result, error) {
 	return e.RunBudgetedContext(context.Background(), instances, netBudgets)
 }
 
-// RunBudgetedContext is RunBudgeted with cancellation: the context is
-// checked at every tile boundary and polled inside the per-tile ILP solves.
-// A cancelled context aborts the run — it is never mistaken for ILP
-// infeasibility, so the greedy fallback does not fire on cancellation.
+// RunBudgetedContext is RunBudgeted with cancellation, under RunContext's
+// contract. A cancelled context aborts the run — it is never mistaken for
+// ILP infeasibility, so the greedy fallback does not fire on cancellation.
+// The solve memo is bypassed: its fingerprint covers only the uniform cap.
 func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, netBudgets []float64) (*Result, error) {
 	if len(netBudgets) != len(e.L.Nets) {
 		return nil, fmt.Errorf("core: %d net budgets for %d nets", len(netBudgets), len(e.L.Nets))
@@ -270,72 +226,5 @@ func (e *Engine) RunBudgetedContext(ctx context.Context, instances []*Instance, 
 			perTile[n] = b
 		}
 	}
-
-	res := &Result{
-		Method: ILPII,
-		Fill:   &layout.FillSet{Grid: e.Grid, Layer: e.Cfg.Layer},
-		PerNet: make([]float64, len(e.L.Nets)),
-	}
-	start := time.Now()
-	scs := e.getScratches(1)
-	defer e.putScratches(scs)
-	sc := scs[0]
-	opts := &sc.ilpBuffers().opts
-	base := e.ilpOpts(ctx)
-	nc := &NetCap{PerNet: perTile}
-	for _, in := range instances {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: budgeted run interrupted: %w", err)
-		}
-		solveStart := time.Now()
-		a := make(Assignment, len(in.Columns))
-		*opts = base
-		_, st, err := sc.solveILPII(in, opts, nc, a)
-		res.ILPNodes += st.nodes
-		res.LPPivots += st.pivots
-		if st.incRepaired {
-			res.IncumbentsRepaired++
-		}
-		if st.incDropped {
-			res.IncumbentsDropped++
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("core: budgeted run interrupted: %w", ctxErr)
-		}
-		if err != nil {
-			// Infeasible under the caps: place what fits greedily (a is
-			// still zero; solveILPII writes it only on success).
-			solveGreedyCappedInto(a, in, nc, sc)
-		}
-		res.Phases.Solve += time.Since(solveStart)
-		placed := 0
-		for _, m := range a {
-			placed += m
-		}
-		evalStart := time.Now()
-		u, w, err := in.Evaluate(a)
-		if err != nil {
-			return nil, fmt.Errorf("core: budgeted tile (%d,%d): %w", in.I, in.J, err)
-		}
-		res.Unweighted += u
-		res.Weighted += w
-		res.Requested += in.F
-		res.Placed += placed
-		res.Tiles++
-		err = e.accumulatePerNet(res.PerNet, in, a)
-		res.Phases.Evaluate += time.Since(evalStart)
-		if err != nil {
-			return nil, fmt.Errorf("core: budgeted tile (%d,%d): %w", in.I, in.J, err)
-		}
-		placeStart := time.Now()
-		err = e.place(res.Fill, in, a, nil)
-		res.Phases.Place += time.Since(placeStart)
-		if err != nil {
-			return nil, fmt.Errorf("core: budgeted tile (%d,%d): %w", in.I, in.J, err)
-		}
-	}
-	res.CPU = res.Phases.Solve
-	res.Wall = time.Since(start)
-	res.Phases.Preprocess = e.Prep.Total
-	return res, nil
+	return e.run(ctx, ILPII, instances, &NetCap{PerNet: perTile})
 }

@@ -77,21 +77,21 @@ func TestMaxFill(t *testing.T) {
 	}
 }
 
+// TestQuickFrontierAssignmentValid pins the identity RunMVDC places fill
+// by: the first n frontier picks are exactly MarginalGreedy's assignment at
+// F = n, and that assignment is valid.
 func TestQuickFrontierAssignmentValid(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := synthInstance(rng, 2+rng.Intn(7))
 		fr := Frontier(in)
 		n := rng.Intn(len(fr.Picks) + 1)
-		a := fr.AssignmentFor(n)
-		total := 0
-		for k, m := range a {
-			if m < 0 || m > in.Columns[k].MaxM {
-				return false
-			}
-			total += m
+		prefix := make(Assignment, len(in.Columns))
+		for _, k := range fr.Picks[:n] {
+			prefix[k]++
 		}
-		return total == n
+		inN := &Instance{I: in.I, J: in.J, F: n, Columns: in.Columns}
+		return slices.Equal(prefix, SolveMarginalGreedy(inN)) && inN.Valid(prefix) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -104,13 +104,32 @@ func BuildInstances(caseName string, w, r int, cfg core.Config) (*core.Engine, [
 	if err != nil {
 		return nil, nil, err
 	}
-	dis, err := layout.NewDissection(l.Die, testcases.WindowNM(w), r)
+	p, err := prepare(l, rule, w, r, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	return p.eng, p.instances, nil
+}
+
+// prepared is one grid point ready to solve.
+type prepared struct {
+	eng       *core.Engine
+	grid      *density.Grid
+	budget    density.Budget
+	instances []*core.Instance
+}
+
+// prepare is the one prep path of BuildInstances and RunRowObs: dissect the
+// layout at (W, r), build an engine with cfg, budget fill with the harness
+// density targets and build the tile instances.
+func prepare(l *layout.Layout, rule layout.FillRule, w, r int, cfg core.Config) (*prepared, error) {
+	dis, err := layout.NewDissection(l.Die, testcases.WindowNM(w), r)
+	if err != nil {
+		return nil, err
+	}
 	eng, err := core.NewEngine(l, dis, rule, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	grid := density.NewGrid(l, dis, eng.Occ, 0)
 	budget, _, err := density.MonteCarlo(grid, density.MonteCarloOptions{
@@ -119,13 +138,13 @@ func BuildInstances(caseName string, w, r int, cfg core.Config) (*core.Engine, [
 		Seed:       1,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	instances, err := eng.Instances(budget)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return eng, instances, nil
+	return &prepared{eng: eng, grid: grid, budget: budget, instances: instances}, nil
 }
 
 // Obs carries the optional observability hooks of a harness run: a span
@@ -152,11 +171,7 @@ func RunRowObs(caseName string, w, r int, weighted bool, ob Obs) (*Row, error) {
 		return nil, err
 	}
 	prepStart := time.Now()
-	dis, err := layout.NewDissection(l.Die, testcases.WindowNM(w), r)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(l, dis, rule, core.Config{
+	p, err := prepare(l, rule, w, r, core.Config{
 		Weighted: weighted,
 		Seed:     1,
 		ILPOpts:  ilp.Options{MaxNodes: 20000},
@@ -168,20 +183,8 @@ func RunRowObs(caseName string, w, r int, weighted bool, ob Obs) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	grid := density.NewGrid(l, dis, eng.Occ, 0)
-	budget, _, err := density.MonteCarlo(grid, density.MonteCarloOptions{
-		TargetMin:  TargetMinDensity,
-		MaxDensity: MaxDensity,
-		Seed:       1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	instances, err := eng.Instances(budget)
-	if err != nil {
-		return nil, err
-	}
-	row := &Row{Case: caseName, W: w, R: r, Budget: budget.Total(), PrepTime: time.Since(prepStart)}
+	eng, instances := p.eng, p.instances
+	row := &Row{Case: caseName, W: w, R: r, Budget: p.budget.Total(), PrepTime: time.Since(prepStart)}
 
 	run := func(m core.Method) (Cell, *core.Result, error) {
 		res, err := eng.Run(m, instances)
@@ -206,7 +209,7 @@ func RunRowObs(caseName string, w, r int, weighted bool, ob Obs) (*Row, error) {
 	if row.ILPII, res, err = run(core.ILPII); err != nil {
 		return nil, err
 	}
-	row.DensityMin, row.DensityMax = grid.StatsWithAreas(res.Fill.TileFillAreas(dis))
+	row.DensityMin, row.DensityMax = p.grid.StatsWithAreas(res.Fill.TileFillAreas(p.grid.D))
 	if row.Greedy, _, err = run(core.Greedy); err != nil {
 		return nil, err
 	}

@@ -5,9 +5,10 @@
 //
 // Two locality radii drive the decomposition:
 //
-//   - Density windows are R×R tile blocks, so a region's FFTBudget inputs are
-//     exact once it sees a halo of R-1 tiles around its owned rectangle: every
-//     window overlapping an owned tile lies inside owned+halo (see budget.go).
+//   - Density windows are R×R tile blocks, so every window overlapping an
+//     owned tile lies inside a halo of R-1 tiles around the owned rectangle.
+//     (The fill budget itself is computed whole-chip by the coordinator and
+//     shipped to regions as slices; the halo bounds only the geometry cut.)
 //   - Slack-column extraction (scanline.DefIII) bounds a column's vertical gap
 //     by lines anywhere in the die's Y range, so region geometry is cut as a
 //     full-height vertical stripe: the stripe spans the whole die in Y and the

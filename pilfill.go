@@ -98,7 +98,9 @@ type Options struct {
 	// ILPNodeLimit caps branch-and-bound nodes per tile (0 = default).
 	ILPNodeLimit int
 	// NetCap bounds each net's added delay per tile, in seconds, for
-	// GreedyCapped, ILP-II and DualAscent (0 = off).
+	// GreedyCapped, ILP-II and DualAscent (0 = off). Tiles whose cap makes
+	// the fill amount infeasible are placed by the capped greedy instead, so
+	// Placed may trail Requested.
 	NetCap float64
 	// DualGapTol is DualAscent's relative duality-gap acceptance threshold;
 	// 0 selects the default (1e-9). See core.Config.DualGapTol.
@@ -302,8 +304,11 @@ func (s *Session) report(res *core.Result) *Report {
 // RunBudgeted places the session's budget with ILP-II under per-net delay
 // budgets derived from baseline timing: each net may absorb slackFraction of
 // its worst baseline Elmore sink delay (the paper's Section 7 "budgeted
-// capacitance" flow). Tiles where the caps make the fill amount infeasible
-// fall back to a budget-respecting greedy, so Placed may trail Requested.
+// capacitance" flow). It runs through the same tile loop as Run, under the
+// session's Workers, tracing and OnTile hooks: tiles where the caps make the
+// fill amount infeasible are placed by the budget-respecting greedy, exactly
+// as under Options.NetCap, so Placed may trail Requested. The solve memo is
+// not consulted.
 func (s *Session) RunBudgeted(slackFraction float64) (*Report, error) {
 	return s.RunBudgetedContext(context.Background(), slackFraction)
 }
